@@ -105,19 +105,55 @@ impl EngineSnapshot {
     }
 
     /// Checks the snapshot is resumable on a ring of `n` processors.
+    ///
+    /// A deserialized snapshot is untrusted input, and the engines index
+    /// its vectors by position and link id. So besides the version and
+    /// ring size, every per-position and per-link vector must have its
+    /// exact length, and each link's seqs must strictly increase and stay
+    /// below the `seq` clock — the FIFO index relies on both.
     pub(crate) fn validate(&self, n: usize) -> Result<(), SimError> {
+        let reject = |reason: String| Err(SimError::Snapshot { reason });
         if self.version != SNAPSHOT_VERSION {
-            return Err(SimError::Snapshot {
-                reason: format!(
-                    "snapshot version {} unsupported (this build reads {SNAPSHOT_VERSION})",
-                    self.version
-                ),
-            });
+            return reject(format!(
+                "snapshot version {} unsupported (this build reads {SNAPSHOT_VERSION})",
+                self.version
+            ));
         }
         if self.n != n {
-            return Err(SimError::Snapshot {
-                reason: format!("snapshot of a {}-ring cannot resume a {n}-ring", self.n),
-            });
+            return reject(format!("snapshot of a {}-ring cannot resume a {n}-ring", self.n));
+        }
+        let lengths = [
+            ("links", self.links.len(), 2 * n),
+            ("processes", self.processes.len(), n),
+            ("position_deliveries", self.position_deliveries.len(), n),
+            ("stats.clockwise_link_bits", self.stats.clockwise_link_bits.len(), n),
+            ("stats.counter_clockwise_link_bits", self.stats.counter_clockwise_link_bits.len(), n),
+        ];
+        for (field, len, expected) in lengths {
+            if len != expected {
+                return reject(format!(
+                    "snapshot field `{field}` has {len} entries; a {n}-ring needs {expected}"
+                ));
+            }
+        }
+        for (link, queue) in self.links.iter().enumerate() {
+            let mut previous = None;
+            for &(seq, _) in queue {
+                if seq >= self.seq {
+                    return reject(format!(
+                        "snapshot field `links[{link}]` holds seq {seq}, not below the seq \
+                         clock {}",
+                        self.seq
+                    ));
+                }
+                if let Some(prev) = previous.filter(|&prev| seq <= prev) {
+                    return reject(format!(
+                        "snapshot field `links[{link}]` seqs do not strictly increase \
+                         ({prev} then {seq})"
+                    ));
+                }
+                previous = Some(seq);
+            }
         }
         Ok(())
     }
@@ -178,13 +214,24 @@ mod tests {
             seq: 7,
             deliveries: 3,
             position_deliveries: vec![0; n],
-            stats: ExecStats::default(),
+            stats: ExecStats::new(n),
             links: vec![Vec::new(); 2 * n],
             rng: None,
             processes: vec![Vec::new(); n],
             trace: None,
             ring: None,
         }
+    }
+
+    /// Asserts `snap` is rejected for a 4-ring with a reason naming `field`.
+    fn assert_rejected(snap: &EngineSnapshot, field: &str) {
+        let err = snap.validate(4).unwrap_err();
+        assert!(matches!(err, SimError::Snapshot { .. }), "{err:?}");
+        assert!(err.to_string().contains(&format!("`{field}")), "{err}");
+    }
+
+    fn message(seq: u64) -> (u64, BitString) {
+        (seq, BitString::parse("1").unwrap())
     }
 
     #[test]
@@ -196,6 +243,66 @@ mod tests {
         wrong.version = 99;
         let err = wrong.validate(4).unwrap_err();
         assert!(err.to_string().contains("version 99"), "{err}");
+    }
+
+    #[test]
+    fn validate_accepts_increasing_seqs_below_the_clock() {
+        let mut s = snapshot(4);
+        s.links[2] = vec![message(1), message(4), message(6)];
+        s.links[5] = vec![message(0)];
+        assert!(s.validate(4).is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_more_than_2n_links() {
+        let mut s = snapshot(4);
+        s.links.push(vec![message(0)]);
+        assert_rejected(&s, "links");
+    }
+
+    #[test]
+    fn validate_rejects_a_short_processes_vector() {
+        // A short vector would restore only a prefix of the processes.
+        let mut s = snapshot(4);
+        s.processes.pop();
+        assert_rejected(&s, "processes");
+    }
+
+    #[test]
+    fn validate_rejects_a_wrong_length_position_deliveries() {
+        let mut s = snapshot(4);
+        s.position_deliveries.push(0);
+        assert_rejected(&s, "position_deliveries");
+    }
+
+    #[test]
+    fn validate_rejects_a_wrong_length_clockwise_stats_vector() {
+        let mut s = snapshot(4);
+        s.stats.clockwise_link_bits.truncate(2);
+        assert_rejected(&s, "stats.clockwise_link_bits");
+    }
+
+    #[test]
+    fn validate_rejects_a_wrong_length_counter_clockwise_stats_vector() {
+        let mut s = snapshot(4);
+        s.stats.counter_clockwise_link_bits.push(0);
+        assert_rejected(&s, "stats.counter_clockwise_link_bits");
+    }
+
+    #[test]
+    fn validate_rejects_link_seqs_that_do_not_increase() {
+        let mut s = snapshot(4);
+        s.links[3] = vec![message(2), message(2)];
+        assert_rejected(&s, "links[3]");
+        s.links[3] = vec![message(5), message(1)];
+        assert_rejected(&s, "links[3]");
+    }
+
+    #[test]
+    fn validate_rejects_link_seqs_at_or_past_the_clock() {
+        let mut s = snapshot(4);
+        s.links[6] = vec![message(1), message(7)];
+        assert_rejected(&s, "links[6]");
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! The discrete-event execution engine.
 
-use std::collections::{BTreeMap, VecDeque};
-
 use ringleader_automata::Word;
 use ringleader_bitio::BitString;
 use ringleader_obs::Metrics;
@@ -212,7 +210,8 @@ impl RingRunner {
     /// # Errors
     ///
     /// Everything [`run`](RingRunner::run) returns, plus
-    /// [`SimError::Snapshot`] on a version or ring-size mismatch.
+    /// [`SimError::Snapshot`] on a version or ring-size mismatch, or on a
+    /// snapshot whose vectors or link seqs are malformed.
     pub fn resume(
         &self,
         protocol: &dyn Protocol,
@@ -289,7 +288,10 @@ impl RingRunner {
         let mut sink;
         let mut seq: u64;
         let mut deliveries: usize;
-        let mut position_deliveries: Vec<u64>;
+        // Per-receiver delivery counts: the coordinates fault plans key on
+        // and part of every snapshot. Kept only when something can read
+        // them — a fault plan, a pause point, or a resumed snapshot.
+        let mut position_deliveries: Option<Vec<u64>>;
         let known = known_ring_size.then_some(n);
 
         // One context for the whole run; reset per event so the outbox
@@ -319,13 +321,14 @@ impl RingRunner {
             sink = TraceSink { trace: snap.trace.clone(), ring: snap.ring.clone() };
             seq = snap.seq;
             deliveries = snap.deliveries;
-            position_deliveries = snap.position_deliveries.clone();
+            position_deliveries = Some(snap.position_deliveries.clone());
         } else {
             stats = ExecStats::new(n);
             sink = TraceSink::new(self.record_trace, self.trace_ring);
             seq = 0;
             deliveries = 0;
-            position_deliveries = vec![0; n];
+            position_deliveries =
+                (self.fault_plan.is_some() || pause_at.is_some()).then(|| vec![0; n]);
 
             // Start the leader.
             processes[0]
@@ -359,7 +362,7 @@ impl RingRunner {
                         max_events,
                         seq,
                         deliveries,
-                        &position_deliveries,
+                        position_deliveries.as_deref().expect("a pausable run counts deliveries"),
                         &stats,
                         &links,
                         &processes,
@@ -384,9 +387,10 @@ impl RingRunner {
                 (link - n, Direction::CounterClockwise)
             };
 
-            position_deliveries[receiver] += 1;
-            let fault =
-                fault_plan.and_then(|p| p.for_delivery(receiver, position_deliveries[receiver]));
+            let fault = position_deliveries.as_mut().and_then(|counts| {
+                counts[receiver] += 1;
+                fault_plan.and_then(|p| p.for_delivery(receiver, counts[receiver]))
+            });
             if let Some(f) = &fault {
                 // The serial engine has no worker to kill; KillShard is a
                 // no-op here (the sharded/threaded engines honour it).
@@ -518,7 +522,7 @@ fn capture_serial(
         deliveries,
         position_deliveries: position_deliveries.to_vec(),
         stats: stats.clone(),
-        links: (0..links.backlog.len()).map(|link| links.queue_contents(link)).collect(),
+        links: (0..links.head.len()).map(|link| links.queue_contents(link)).collect(),
         rng: links.index.export_rng(),
         processes: proc_states,
         trace: sink.trace.clone(),
@@ -527,14 +531,23 @@ fn capture_serial(
 }
 
 /// The link queues plus the scheduler's incrementally maintained view of
-/// them, laid out structure-of-arrays.
+/// them, sized by messages in flight rather than by ring size.
 ///
-/// The hot fields — each link's head sequence number, backlog, and head
-/// payload — live in three dense parallel vectors, so the per-delivery
-/// path (`choose` → `pop` → `push`) touches a handful of cache lines
-/// even at n = 10⁶, instead of hopping through per-link `VecDeque`
-/// headers. Links holding more than one message (rare outside burst
-/// workloads) spill their tail into a side table keyed by link id.
+/// The only per-link state is `head`: one `u32` per link, 0 while the
+/// link is empty, else the slot of its front message. It is built with
+/// `vec![0; 2 * n]`, which the allocator serves from pre-zeroed pages, so
+/// a link the run never touches never faults a page in; and an integer,
+/// unlike a per-link payload, needs no per-element construction or drop.
+/// Everything else in `Links` is sized by the messages in flight.
+///
+/// Every queued message, head or tail, is a [`Node`] in one `slab`,
+/// chained front to back through `next`. The head node also carries its
+/// link's `tail` slot (for O(1) append) and `backlog` (for the
+/// [`LinkIndex`] notifications). Popped nodes go onto a free list
+/// threaded through the same `next` field, so the slab only ever grows
+/// to the peak number of messages in flight — one, for Theorem 1's
+/// one-pass — and the hot path (`choose` → `pop` → `push`) keeps
+/// reusing the same few cache-resident nodes.
 ///
 /// Every queue mutation flows through [`push`](Links::push) /
 /// [`pop`](Links::pop) so the [`LinkIndex`] stays exactly in sync; the
@@ -544,19 +557,15 @@ fn capture_serial(
 /// one message is ever in flight.
 ///
 /// Link ids: 0..n are clockwise links (i → i+1 mod n); n..2n are
-/// counter-clockwise links (i+1 → i, stored at n + i).
+/// counter-clockwise links (i+1 → i, stored at n + i). Slots are slab
+/// indices plus one, so 0 can mean "none" in `head`, `next` and `free`.
 struct Links {
-    /// Sequence number of each link's head message; meaningful only
-    /// while `backlog[link] > 0`.
-    head_seq: Vec<u64>,
-    /// Queued-message count per link.
-    backlog: Vec<u32>,
-    /// Payload of each link's head message; an empty placeholder while
-    /// the link is empty.
-    head_payload: Vec<BitString>,
-    /// Tail entries (everything behind the head) for links with backlog
-    /// ≥ 2, front first.
-    overflow: BTreeMap<usize, VecDeque<(u64, BitString)>>,
+    /// Slot of each link's front message; 0 for an empty link.
+    head: Vec<u32>,
+    /// Queued messages of every link, plus free nodes awaiting reuse.
+    slab: Vec<Node>,
+    /// Slot of the first free node; 0 when every node is queued.
+    free: u32,
     index: Box<dyn LinkIndex>,
     /// Number of non-empty links.
     occupied: usize,
@@ -565,30 +574,62 @@ struct Links {
     id_xor: usize,
 }
 
+/// One queued message in the [`Links`] slab.
+struct Node {
+    seq: u64,
+    payload: BitString,
+    /// Slot of the next message on the same link (0 = last); on a free
+    /// node, the next free node.
+    next: u32,
+    /// Slot of the link's last message. Kept on the head node only.
+    tail: u32,
+    /// The link's queued-message count. Kept on the head node only.
+    backlog: u32,
+}
+
 impl Links {
     fn new(n: usize, index: Box<dyn LinkIndex>) -> Self {
-        Self {
-            head_seq: vec![0; 2 * n],
-            backlog: vec![0; 2 * n],
-            head_payload: vec![BitString::new(); 2 * n],
-            overflow: BTreeMap::new(),
-            index,
-            occupied: 0,
-            id_xor: 0,
+        Self { head: vec![0; 2 * n], slab: Vec::new(), free: 0, index, occupied: 0, id_xor: 0 }
+    }
+
+    fn node(&mut self, slot: u32) -> &mut Node {
+        &mut self.slab[slot as usize - 1]
+    }
+
+    /// Stores a message in a free node, or a new one if none is free, and
+    /// returns its slot.
+    fn alloc(&mut self, seq: u64, payload: BitString) -> u32 {
+        let node = Node { seq, payload, next: 0, tail: 0, backlog: 0 };
+        if self.free == 0 {
+            self.slab.push(node);
+            u32::try_from(self.slab.len()).expect("fewer than 2^32 messages in flight")
+        } else {
+            let slot = self.free;
+            self.free = std::mem::replace(self.node(slot), node).next;
+            slot
         }
     }
 
     fn push(&mut self, link: usize, seq: u64, payload: BitString) {
-        if self.backlog[link] == 0 {
-            self.head_seq[link] = seq;
-            self.head_payload[link] = payload;
+        let slot = self.alloc(seq, payload);
+        let head = self.head[link];
+        let backlog = if head == 0 {
+            self.head[link] = slot;
+            let node = self.node(slot);
+            node.tail = slot;
+            node.backlog = 1;
             self.occupied += 1;
             self.id_xor ^= link;
+            1
         } else {
-            self.overflow.entry(link).or_default().push_back((seq, payload));
-        }
-        self.backlog[link] += 1;
-        self.index.on_push(link, seq, self.backlog[link] as usize);
+            let front = self.node(head);
+            let last = std::mem::replace(&mut front.tail, slot);
+            front.backlog += 1;
+            let backlog = front.backlog;
+            self.node(last).next = slot;
+            backlog
+        };
+        self.index.on_push(link, seq, backlog as usize);
     }
 
     /// The scheduling policy's pick, or `None` when the ring is quiescent.
@@ -605,35 +646,37 @@ impl Links {
     }
 
     fn pop(&mut self, link: usize) -> BitString {
-        let backlog = self.backlog[link].checked_sub(1).expect("chosen link non-empty");
-        self.backlog[link] = backlog;
-        if backlog == 0 {
+        let slot = self.head[link];
+        debug_assert_ne!(slot, 0, "chosen link non-empty");
+        let free = self.free;
+        let front = self.node(slot);
+        let payload = std::mem::take(&mut front.payload);
+        let (next, tail, backlog) = (front.next, front.tail, front.backlog - 1);
+        front.next = free;
+        self.free = slot;
+        self.head[link] = next;
+        if next == 0 {
             self.occupied -= 1;
             self.id_xor ^= link;
             self.index.on_pop(link, None, 0);
-            std::mem::take(&mut self.head_payload[link])
         } else {
-            let tail = self.overflow.get_mut(&link).expect("backlog ≥ 2 spills to overflow");
-            let (next_seq, next_payload) = tail.pop_front().expect("overflow entry non-empty");
-            if tail.is_empty() {
-                self.overflow.remove(&link);
-            }
-            let payload = std::mem::replace(&mut self.head_payload[link], next_payload);
-            self.head_seq[link] = next_seq;
+            let new_front = self.node(next);
+            new_front.tail = tail;
+            new_front.backlog = backlog;
+            let next_seq = new_front.seq;
             self.index.on_pop(link, Some(next_seq), backlog as usize);
-            payload
         }
+        payload
     }
 
     /// Front-to-back contents of `link`, for checkpoint capture.
     fn queue_contents(&self, link: usize) -> Vec<(u64, BitString)> {
-        if self.backlog[link] == 0 {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(self.backlog[link] as usize);
-        out.push((self.head_seq[link], self.head_payload[link].clone()));
-        if let Some(tail) = self.overflow.get(&link) {
-            out.extend(tail.iter().cloned());
+        let mut out = Vec::new();
+        let mut slot = self.head[link];
+        while slot != 0 {
+            let node = &self.slab[slot as usize - 1];
+            out.push((node.seq, node.payload.clone()));
+            slot = node.next;
         }
         out
     }
@@ -685,7 +728,106 @@ fn apply_effects(
 mod tests {
     use super::*;
     use crate::context::{ProcessResult, Protocol};
+    use crate::sched::testkit::{LinkView, NaiveChooser};
+    use proptest::prelude::*;
     use ringleader_automata::{Alphabet, Symbol};
+    use std::collections::VecDeque;
+
+    /// `Links` side by side with a reference model: one `VecDeque` per
+    /// link plus the naive-scan scheduler oracle.
+    struct LinksAndReference {
+        links: Links,
+        oracle: NaiveChooser,
+        reference: Vec<VecDeque<(u64, BitString)>>,
+        seq: u64,
+        in_flight: usize,
+        peak: usize,
+    }
+
+    impl LinksAndReference {
+        fn new(scheduler: &Scheduler, n: usize) -> Self {
+            Self {
+                links: Links::new(n, scheduler.build_index(2 * n)),
+                oracle: NaiveChooser::new(scheduler),
+                reference: vec![VecDeque::new(); 2 * n],
+                seq: 0,
+                in_flight: 0,
+                peak: 0,
+            }
+        }
+
+        fn push(&mut self, link: usize, bits: usize) {
+            let message = payload(self.seq, bits);
+            self.links.push(link, self.seq, message.clone());
+            self.reference[link].push_back((self.seq, message));
+            self.seq += 1;
+            self.in_flight += 1;
+            self.peak = self.peak.max(self.in_flight);
+        }
+
+        /// One delivery: both sides must pick the same link and yield the
+        /// same payload.
+        fn deliver(&mut self) {
+            let views: Vec<LinkView> = self
+                .reference
+                .iter()
+                .enumerate()
+                .filter_map(|(id, q)| {
+                    let &(head_seq, _) = q.front()?;
+                    Some(LinkView { id, backlog: q.len(), head_seq })
+                })
+                .collect();
+            let picked = self.links.choose().expect("messages in flight");
+            assert_eq!(picked, self.oracle.choose(&views), "pick");
+            let (_, expected) = self.reference[picked].pop_front().expect("picked non-empty");
+            assert_eq!(self.links.pop(picked), expected, "payload from link {picked}");
+            self.in_flight -= 1;
+        }
+
+        fn check(&self) {
+            for (id, queue) in self.reference.iter().enumerate() {
+                assert_eq!(self.links.queue_contents(id), Vec::from(queue.clone()), "link {id}");
+            }
+            let nodes = self.links.slab.len();
+            assert!(nodes <= self.peak, "slab holds {nodes} nodes, peak in flight {}", self.peak);
+        }
+    }
+
+    /// A payload of `bits` bits whose content depends on `seq`; lengths
+    /// past 184 bits spill the `BitString` to the heap.
+    fn payload(seq: u64, bits: usize) -> BitString {
+        BitString::from_bits((0..bits).map(|i| (seq.rotate_left(i as u32) ^ i as u64) & 1 == 1))
+    }
+
+    proptest! {
+        /// Each step is `(action, link, bits)`: a push, a burst of 3–5
+        /// pushes onto one link, or a delivery; the queues drain at the end.
+        #[test]
+        fn links_match_a_reference_model(
+            n in 1usize..8,
+            script in proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u16>()), 1..300),
+            seed in any::<u64>(),
+        ) {
+            for scheduler in [Scheduler::Fifo, Scheduler::Random { seed }, Scheduler::LongestQueue] {
+                let mut model = LinksAndReference::new(&scheduler, n);
+                for &(action, link, bits) in &script {
+                    let (link, bits) = (usize::from(link) % (2 * n), usize::from(bits) % 400);
+                    match action % 4 {
+                        0 | 1 => model.push(link, bits),
+                        2 => (0..3 + action % 3).for_each(|_| model.push(link, bits)),
+                        _ if model.in_flight > 0 => model.deliver(),
+                        _ => {}
+                    }
+                    model.check();
+                }
+                while model.in_flight > 0 {
+                    model.deliver();
+                    model.check();
+                }
+                prop_assert_eq!(model.links.choose(), None);
+            }
+        }
+    }
 
     /// Forwards any message onward; used as the default follower.
     struct Forwarder;

@@ -84,7 +84,7 @@ impl Scheduler {
     /// Builds the incremental index for a ring with `links` link queues.
     pub(crate) fn build_index(&self, links: usize) -> Box<dyn LinkIndex> {
         match self {
-            Scheduler::Fifo => Box::new(FifoIndex::new(links)),
+            Scheduler::Fifo => Box::<FifoIndex>::default(),
             Scheduler::Random { seed } => Box::new(RandomIndex::new(links, *seed)),
             Scheduler::LongestQueue => Box::new(LongestQueueIndex::new(links)),
         }
@@ -152,20 +152,15 @@ pub trait LinkIndex {
 }
 
 /// FIFO policy: a min-heap of `(head_seq, link)` with one entry per
-/// non-empty link.
+/// non-empty link, so it grows with the links in use, not the ring size.
 ///
 /// Sequence numbers within a link are strictly increasing, so the global
 /// minimum over all queued messages always sits at some link's head and
 /// the heap top is exactly the scan's `min_by_key(head_seq)` pick.
+#[derive(Default)]
 struct FifoIndex {
     heap: BinaryHeap<Reverse<(u64, usize)>>,
     ops: u64,
-}
-
-impl FifoIndex {
-    fn new(links: usize) -> Self {
-        Self { heap: BinaryHeap::with_capacity(links), ops: 0 }
-    }
 }
 
 impl LinkIndex for FifoIndex {

@@ -395,10 +395,10 @@ enum EventEnd {
 /// A payload-free replica of the serial engine's `Links`: the same queue
 /// occupancy, the same head seqs, the same [`LinkIndex`] transitions —
 /// so `choose()` returns exactly the serial pick at every step. Laid out
-/// structure-of-arrays like the serial `Links` (dense head-seq/backlog
-/// vectors, rare multi-message tails in a side table), and additionally
-/// tracking, in O(1) per transition, which *shards* own non-empty links
-/// — the epoch grant condition.
+/// as dense per-link head-seq/backlog vectors with multi-message tails
+/// in a side table (the serial `Links` instead keeps every queued message
+/// in one slab), and additionally tracking, in O(1) per transition,
+/// which *shards* own non-empty links — the epoch grant condition.
 struct MetaLinks {
     /// Head seq per link; meaningful only while `backlog[link] > 0`.
     head_seq: Vec<u64>,
