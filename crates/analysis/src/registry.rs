@@ -25,9 +25,8 @@
 //! processors — sized per experiment so the quadratic-cost sweeps stay
 //! inside the nightly soak budget — and [`Scale::Massive`] takes the
 //! linear and `n log n` tiers to single runs at up to a million
-//! processors, where the sharded engine (`--shards`) earns its keep.
-//! Specs that never override it inherit their large grid at massive
-//! scale.
+//! processors. Specs that never override it inherit their large grid
+//! at massive scale.
 //!
 //! # Adding an experiment
 //!
@@ -90,8 +89,8 @@ pub enum Scale {
     /// processors — the nightly soak profile.
     Large,
     /// Single runs at rings up to a million processors on the linear and
-    /// `n log n` tiers — the profile the sharded engine targets. Specs
-    /// without an explicit massive grid fall back to their large grid.
+    /// `n log n` tiers. Specs without an explicit massive grid fall back
+    /// to their large grid.
     Massive,
 }
 
@@ -220,7 +219,6 @@ pub struct RunCtx<'a> {
     spec: &'a ExperimentSpec,
     exec: &'a dyn SweepExecutor,
     scale: Scale,
-    shards: usize,
     trace_ring: Option<usize>,
     metrics: Metrics,
 }
@@ -236,12 +234,6 @@ impl RunCtx<'_> {
     #[must_use]
     pub fn scale(&self) -> Scale {
         self.scale
-    }
-
-    /// Shards per single run (`1` = serial engine).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Bounded-trace capacity per run, if requested (`--trace-ring`).
@@ -288,7 +280,6 @@ impl RunCtx<'_> {
         SweepConfig {
             sizes: grid.sizes.clone(),
             samples_per_size: grid.samples_per_size,
-            shards: self.shards,
             trace_ring: self.trace_ring,
             metrics: self.metrics.clone(),
             ..SweepConfig::default()
@@ -532,40 +523,24 @@ impl ExperimentSpec {
         &self.scenarios
     }
 
-    /// Runs the experiment with the given executor at the given scale,
-    /// on the serial (one-shard) engine.
+    /// Runs the experiment with the given executor at the given scale.
     #[must_use]
     pub fn run(&self, exec: &dyn SweepExecutor, scale: Scale) -> ExperimentResult {
-        self.run_sharded(exec, scale, 1)
+        self.run_configured(exec, scale, None, Metrics::disabled())
     }
 
-    /// Runs the experiment with every single run split across `shards`
-    /// engine shards. Sharding is byte-identical to serial execution, so
-    /// the result is the same as [`ExperimentSpec::run`]'s — only the
-    /// wall-clock profile changes.
-    #[must_use]
-    pub fn run_sharded(
-        &self,
-        exec: &dyn SweepExecutor,
-        scale: Scale,
-        shards: usize,
-    ) -> ExperimentResult {
-        self.run_configured(exec, scale, shards, None, Metrics::disabled())
-    }
-
-    /// Runs the experiment with the full engine configuration: shard
-    /// count, an optional bounded-trace capacity, and a metrics registry
-    /// forwarded to every run. None of the knobs changes any measurement.
+    /// Runs the experiment with the full engine configuration: an
+    /// optional bounded-trace capacity and a metrics registry forwarded
+    /// to every run. Neither knob changes any measurement.
     #[must_use]
     pub fn run_configured(
         &self,
         exec: &dyn SweepExecutor,
         scale: Scale,
-        shards: usize,
         trace_ring: Option<usize>,
         metrics: Metrics,
     ) -> ExperimentResult {
-        let ctx = RunCtx { spec: self, exec, scale, shards: shards.max(1), trace_ring, metrics };
+        let ctx = RunCtx { spec: self, exec, scale, trace_ring, metrics };
         (self.run)(&ctx)
     }
 }
@@ -668,30 +643,21 @@ impl Registry {
 pub struct ExperimentHarness<'a> {
     exec: &'a dyn SweepExecutor,
     scale: Scale,
-    shards: usize,
     trace_ring: Option<usize>,
     metrics: Metrics,
 }
 
 impl<'a> ExperimentHarness<'a> {
-    /// A harness running on `exec` at `scale` with the serial engine.
+    /// A harness running on `exec` at `scale`.
     #[must_use]
     pub fn new(exec: &'a dyn SweepExecutor, scale: Scale) -> Self {
-        ExperimentHarness { exec, scale, shards: 1, trace_ring: None, metrics: Metrics::disabled() }
+        ExperimentHarness { exec, scale, trace_ring: None, metrics: Metrics::disabled() }
     }
 
     /// The harness's scale.
     #[must_use]
     pub fn scale(&self) -> Scale {
         self.scale
-    }
-
-    /// Splits every single run across `shards` engine shards. Results
-    /// are byte-identical to the serial engine's at any shard count.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
     }
 
     /// Bounds every run's trace to the last `capacity` events (a
@@ -715,13 +681,7 @@ impl<'a> ExperimentHarness<'a> {
     /// Runs one spec.
     #[must_use]
     pub fn run(&self, spec: &ExperimentSpec) -> ExperimentResult {
-        spec.run_configured(
-            self.exec,
-            self.scale,
-            self.shards,
-            self.trace_ring,
-            self.metrics.clone(),
-        )
+        spec.run_configured(self.exec, self.scale, self.trace_ring, self.metrics.clone())
     }
 
     /// Runs every spec of `registry` in presentation order.
@@ -951,40 +911,6 @@ mod tests {
         let profile = profile.massive(ScaleGrid::new(vec![1 << 20], 1));
         assert_eq!(profile.grid(Scale::Massive).sizes, vec![1 << 20]);
         assert_eq!(profile.grid(Scale::Large).sizes, vec![1024]);
-    }
-
-    #[test]
-    fn harness_shards_thread_into_the_sweep_config() {
-        let spec = ExperimentSpec::new(
-            "T3",
-            "shards probe",
-            "none",
-            GridProfile::uniform(ScaleGrid::new(vec![4], 1)),
-            |ctx| {
-                let config = ctx.sweep_config();
-                assert_eq!(config.shards, ctx.shards());
-                let mut result = ctx.new_result(vec!["shards".into()]);
-                result.push_row(vec![config.shards.to_string()]);
-                result.set_verdict(Verdict::Reproduced);
-                result
-            },
-        );
-        let serial = ExperimentHarness::new(&Serial, Scale::Smoke).run(&spec);
-        assert_eq!(serial.rows[0][0], "1");
-        let sharded = ExperimentHarness::new(&Serial, Scale::Smoke).with_shards(4).run(&spec);
-        assert_eq!(sharded.rows[0][0], "4");
-        // Clamped: zero means serial.
-        let clamped = ExperimentHarness::new(&Serial, Scale::Smoke).with_shards(0).run(&spec);
-        assert_eq!(clamped.rows[0][0], "1");
-    }
-
-    #[test]
-    fn sharded_runs_reproduce_serial_results_byte_for_byte() {
-        let spec = counters_spec();
-        let serial = spec.run(&Serial, Scale::Smoke);
-        let sharded = spec.run_sharded(&Serial, Scale::Smoke, 3);
-        assert_eq!(serial.rows, sharded.rows, "sharding must not change measurements");
-        assert_eq!(serial.verdict, sharded.verdict);
     }
 
     #[test]

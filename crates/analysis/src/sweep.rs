@@ -51,10 +51,6 @@ pub struct SweepConfig {
     pub known_ring_size: bool,
     /// Delivery schedule.
     pub scheduler: Scheduler,
-    /// Shards per single run (`1` = serial engine). Sharding is
-    /// byte-identical to serial execution, so this only changes how the
-    /// engine spends cores, never the measurements.
-    pub shards: usize,
     /// Bounded tracing: keep the last `capacity` events of every run in a
     /// [`TraceRing`](ringleader_sim::TraceRing) instead of no trace at
     /// all. `None` (the default) traces nothing; sweeps only consume the
@@ -64,7 +60,7 @@ pub struct SweepConfig {
     pub trace_ring: Option<usize>,
     /// Metrics registry cloned into every grid point's runner. The
     /// default disabled handle records nothing; an enabled one
-    /// accumulates engine/shard telemetry across the whole sweep without
+    /// accumulates engine telemetry across the whole sweep without
     /// ever feeding back into a measurement.
     pub metrics: Metrics,
 }
@@ -77,7 +73,6 @@ impl Default for SweepConfig {
             seed: 0xB17C0DE,
             known_ring_size: false,
             scheduler: Scheduler::Fifo,
-            shards: 1,
             trace_ring: None,
             metrics: Metrics::disabled(),
         }
@@ -343,7 +338,6 @@ pub fn sweep_protocol_with(
         let mut runner = RingRunner::new();
         runner.known_ring_size(config.known_ring_size);
         runner.scheduler(config.scheduler.clone());
-        runner.shards(config.shards);
         runner.metrics(config.metrics.clone());
         if let Some(capacity) = config.trace_ring {
             runner.trace_ring(capacity);

@@ -13,13 +13,6 @@
 //!   (`StatelessTwoPass`), whose pass-2 messages replay pass-1 history:
 //!   wider payloads and two full passes of deliveries.
 //!
-//! * `one_pass_sharded` — the one-pass workload again, split across
-//!   {2, 4, 8} engine shards. A single token once meant one delivery per
-//!   merge window (pure round-trip overhead, 20–60× at these sizes —
-//!   `BENCH_0004.json`); with epoch-batched grants the coordinator hands
-//!   each arc its whole traversal in one command, so this now measures
-//!   the residual coordination gap (`BENCH_0006.json`). CI's perf-smoke
-//!   gate keeps it from regressing back to per-delivery round-trips.
 //! * `metered` — the one-pass workload with an enabled metrics registry
 //!   attached (`on/<n>`) vs its unmetered twin (`off/<n>`), timed
 //!   back-to-back: prices the observability layer itself. CI gates `on`
@@ -27,8 +20,7 @@
 //!
 //! Run with `CRITERION_SNAPSHOT=out.jsonl` to dump machine-readable
 //! measurements; `BENCH_0003.json` in the repo root is the checked-in
-//! trajectory for the serial engine (pre- and post-incremental-index),
-//! and `BENCH_0004.json` the serial-vs-sharded trajectory.
+//! trajectory for the event loop (pre- and post-incremental-index).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -62,32 +54,6 @@ fn bench_one_pass(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &word, |b, w| {
             b.iter(|| RingRunner::new().run(&proto, w).unwrap());
         });
-    }
-    group.finish();
-}
-
-/// One-pass run split across {2, 4, 8} shards: per-delivery coordination
-/// cost. A single token means every delivery is computable one arc at a
-/// time, so the epoch path should grant each arc's whole traversal in
-/// one command — the measured overhead is the epoch round-trip amortized
-/// over `n/shards` deliveries plus the coordinator's replay, not a
-/// channel hop per delivery.
-fn bench_one_pass_sharded(c: &mut Criterion) {
-    let sigma = ringleader_automata::Alphabet::from_chars("ab").unwrap();
-    let lang = DfaLanguage::from_regex("(a|b)*abb", &sigma).unwrap();
-    let proto = DfaOnePass::new(&lang);
-    let mut group = c.benchmark_group("engine_hot_loop/one_pass_sharded");
-    for shards in [2usize, 4, 8] {
-        for n in SIZES {
-            let word = word_for(&lang, n, 0xE0);
-            group.bench_function(format!("shards_{shards}/{n}"), |b| {
-                b.iter(|| {
-                    let mut runner = RingRunner::new();
-                    runner.shards(shards);
-                    runner.run(&proto, &word).unwrap()
-                });
-            });
-        }
     }
     group.finish();
 }
@@ -328,7 +294,6 @@ fn bench_trace_ring(c: &mut Criterion) {
 criterion_group!(
     engine_hot_loop,
     bench_one_pass,
-    bench_one_pass_sharded,
     bench_bidir_collision,
     bench_quadratic_stateless,
     bench_checkpointed,

@@ -8,7 +8,6 @@
 //! experiments --json out.json       # also dump the versioned JSON envelope
 //! experiments --workers 8           # parallel sweeps on 8 threads
 //! experiments --workers 0           # one thread per CPU
-//! experiments --shards 8            # split each single run across 8 shards
 //! experiments --trace-ring 4096     # bound every run's trace to 4096 events
 //! experiments --checkpoint-dir ckpt # write a resume ledger after each spec
 //! experiments --checkpoint-every 2  # ...flushing every 2 completed specs
@@ -22,11 +21,9 @@
 //! The id table, `--list`, and dispatch all derive from
 //! [`ringleader_bench::registry`] — there is no second experiment table
 //! to drift. `--workers N` fans every sweep's grid points out to `N`
-//! worker threads; `--shards N` splits each *single* run's ring into `N`
-//! worker-owned arcs (the right axis when one ring is huge — the
-//! `massive` profile's single runs at up to 10⁶ processors — where
-//! grid-point parallelism has nothing to fan out). Results (tables and
-//! JSON) are byte-identical for every `N` on both axes — only wall-clock
+//! worker threads; each single run stays on one thread, because a
+//! leader-started token pass has nothing to run in parallel. Results
+//! (tables and JSON) are byte-identical for every `N` — only wall-clock
 //! time changes. Unknown flags are rejected (a typo like `--jsn` must
 //! not silently run the full suite).
 //!
@@ -55,8 +52,7 @@
 //! `--metrics <path>` attaches an enabled
 //! [`Metrics`](ringleader_obs::Metrics) registry to every run and dumps
 //! a versioned [`RunReport`](ringleader_obs::RunReport) JSON at the end:
-//! engine counters, shard epoch histograms, per-shard utilization,
-//! checkpoint timings. `--progress` prints an elapsed-time heartbeat to
+//! engine counters and gauges, checkpoint timings. `--progress` prints an elapsed-time heartbeat to
 //! stderr after each spec. Both are observability only — stdout tables
 //! and the `--json` envelope are byte-identical with or without them.
 //!
@@ -79,7 +75,7 @@ use serde::Serialize;
 const SCHEMA_VERSION: u32 = 1;
 
 const KNOWN_FLAGS: &str = "--list, --scale <smoke|paper|large|massive>, --filter <substring>, \
-     --workers <n>, --shards <n>, --trace-ring <n>, --json <path>, --checkpoint-dir <dir>, \
+     --workers <n>, --trace-ring <n>, --json <path>, --checkpoint-dir <dir>, \
      --checkpoint-every <n>, --resume <ledger>, --halt-after <n>, --metrics <path>, --progress";
 
 #[derive(Serialize)]
@@ -102,7 +98,6 @@ fn main() -> ExitCode {
 
     let mut json_path: Option<String> = None;
     let mut workers = 1usize;
-    let mut shards = 1usize;
     let mut trace_ring: Option<usize> = None;
     let mut checkpoint_dir: Option<String> = None;
     let mut checkpoint_every = 1usize;
@@ -129,17 +124,6 @@ fn main() -> ExitCode {
                 Some(Ok(n)) => workers = n,
                 _ => {
                     eprintln!("--workers requires a thread count (0 = one per CPU)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--shards" => match iter.next().as_deref().map(str::parse::<usize>) {
-                Some(Ok(0)) => {
-                    eprintln!("--shards 0 is invalid: at least one shard must own the ring");
-                    return ExitCode::FAILURE;
-                }
-                Some(Ok(n)) => shards = n,
-                _ => {
-                    eprintln!("--shards requires a shard count of at least 1");
                     return ExitCode::FAILURE;
                 }
             },
@@ -248,25 +232,6 @@ fn main() -> ExitCode {
         selected = registry.specs().iter().collect();
     }
 
-    // A shard owns a contiguous arc of at least one processor, so the
-    // shard count must not exceed any selected ring size at this scale.
-    if shards > 1 {
-        let too_small = selected
-            .iter()
-            .flat_map(|s| s.grid(scale).sizes.iter().map(move |&n| (s.id(), n)))
-            .filter(|&(_, n)| n < shards)
-            .min_by_key(|&(_, n)| n);
-        if let Some((id, n)) = too_small {
-            eprintln!(
-                "--shards {shards} exceeds the ring size: {id} at --scale {} runs rings down to \
-                 n = {n}, and every shard needs at least one processor (pass --shards {n} or \
-                 fewer, or a larger scale)",
-                scale.label()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-
     // Crash safety: load any prior ledger, decide where checkpoints go.
     // With --checkpoint-dir the ledger lives at <dir>/ledger-<scale>.json;
     // a bare --resume keeps checkpointing to the resumed file itself.
@@ -359,9 +324,7 @@ fn main() -> ExitCode {
     // registry is enabled, disabled, or absent.
     let metrics = if metrics_path.is_some() { Metrics::enabled() } else { Metrics::disabled() };
     let progress = Progress::new(progress_flag);
-    let mut harness = ExperimentHarness::new(exec.as_ref(), scale)
-        .with_shards(shards)
-        .with_metrics(metrics.clone());
+    let mut harness = ExperimentHarness::new(exec.as_ref(), scale).with_metrics(metrics.clone());
     if let Some(capacity) = trace_ring {
         harness = harness.with_trace_ring(capacity);
     }

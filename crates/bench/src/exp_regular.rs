@@ -25,7 +25,7 @@ pub(crate) fn e1_spec() -> ExperimentSpec {
             ScaleGrid::new(vec![4096, 16384, 65536], 2),
         )
         // The linear tier is cheap enough for single runs at a million
-        // processors — the sharded engine's headline workload.
+        // processors on the serial engine.
         .massive(ScaleGrid::new(vec![131_072, 262_144, 524_288, 1_000_000], 1)),
         run_e1,
     )

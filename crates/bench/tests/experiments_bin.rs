@@ -59,33 +59,6 @@ fn scale_flag_is_validated() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
-/// `--shards` must describe a realizable partition: zero shards is
-/// nonsense, and more shards than the smallest selected ring would leave
-/// arcs with no processor to own.
-#[test]
-fn shards_flag_is_validated() {
-    let out = experiments().args(["--shards", "0"]).output().expect("binary runs");
-    assert!(!out.status.success(), "--shards 0 must fail");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--shards 0 is invalid"), "stderr: {err}");
-
-    let out = experiments()
-        .args(["e1", "--scale", "smoke", "--shards", "9999"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success(), "--shards 9999 must fail at smoke scale");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("exceeds the ring size"), "stderr: {err}");
-    assert!(err.contains("e1") || err.contains("E1"), "stderr names the offender: {err}");
-
-    // A count the smallest smoke ring can host sails through.
-    let out = experiments()
-        .args(["e10", "--scale", "smoke", "--shards", "2"])
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-}
-
 /// `--checkpoint-every` below the ~50n-deliveries budget from
 /// BENCH_0005.json draws a non-fatal stderr warning; a cadence of one
 /// flush per invocation stays quiet.

@@ -8,9 +8,8 @@
 //! [`ringleader_bench::registry`], so this test pins that the paper
 //! scale's results — serialized exactly the way the historical binary
 //! serialized them — still match the seed bytes, for the serial executor
-//! and for an 8-worker pool, with single runs serial (`shards = 1`) and
-//! split across the sharded engine (`shards = 4`). Both parallelism axes
-//! must be unobservable in the output.
+//! and for an 8-worker pool. The worker count must be unobservable in
+//! the output.
 
 use ringleader_analysis::{ExperimentHarness, Parallel, Scale, Serial, SweepExecutor, Verdict};
 use ringleader_bench::registry;
@@ -19,9 +18,9 @@ const GOLDEN: &str = include_str!("golden/experiments_paper.json");
 
 /// Serializes results the way the pre-registry binary did: a pretty
 /// JSON array of records plus a trailing newline.
-fn render(exec: &dyn SweepExecutor, shards: usize) -> String {
+fn render(exec: &dyn SweepExecutor) -> String {
     let registry = registry();
-    let results = ExperimentHarness::new(exec, Scale::Paper).with_shards(shards).run_all(&registry);
+    let results = ExperimentHarness::new(exec, Scale::Paper).run_all(&registry);
     assert_eq!(results.len(), 14);
     for r in &results {
         assert_eq!(r.verdict, Verdict::Reproduced, "{r}");
@@ -52,20 +51,10 @@ fn assert_same(got: &str, label: &str) {
 
 #[test]
 fn paper_scale_matches_the_seed_output_byte_for_byte() {
-    assert_same(&render(&Serial, 1), "serial");
+    assert_same(&render(&Serial), "serial");
 }
 
 #[test]
 fn paper_scale_is_worker_invariant_against_the_same_golden() {
-    assert_same(&render(&Parallel(8), 1), "8 workers");
-}
-
-#[test]
-fn paper_scale_is_shard_invariant_against_the_same_golden() {
-    assert_same(&render(&Serial, 4), "4 shards");
-}
-
-#[test]
-fn paper_scale_worker_and_shard_axes_compose_against_the_same_golden() {
-    assert_same(&render(&Parallel(8), 4), "8 workers x 4 shards");
+    assert_same(&render(&Parallel(8)), "8 workers");
 }

@@ -3,20 +3,18 @@
 //! Policy: wallclock-in-sim carve-out — `ringleader_obs` is the one
 //! non-test place in the workspace allowed to read monotonic wall time
 //! (`std::time::Instant`). Result-affecting crates record durations
-//! through the opaque [`Timer`] / [`Metrics::shard_phase`] handles and
-//! never see a time value; detlint's `wallclock-in-sim` rule recognises
-//! this header and exempts the crate, while its `obs-boundary` rule
-//! bans reading metric values back out of the registry in those crates.
+//! through the opaque [`Timer`] handle and never see a time value;
+//! detlint's `wallclock-in-sim` rule recognises this header and exempts
+//! the crate, while its `obs-boundary` rule bans reading metric values
+//! back out of the registry in those crates.
 //!
 //! # Design
 //!
 //! [`Metrics`] is a cheap cloneable handle, either *disabled* (the
 //! default: a `None` inside, every record call an inlined no-op) or
-//! *enabled* (a shared registry of named counters, max-gauges,
-//! log2-bucketed histograms, timing summaries, and per-shard
-//! busy/idle/blocked phase timelines). Histogram buckets are fixed
-//! powers of two so dumps are deterministic and diffable across runs
-//! and machines.
+//! *enabled* (a shared registry of named counters, max-gauges, and
+//! timing summaries). The registry is keyed by name in sorted maps, so
+//! dumps are deterministic and diffable across runs and machines.
 //!
 //! # The metrics-never-affect-results contract
 //!
@@ -27,7 +25,7 @@
 //! for tests, this crate, and report export. A run with metrics
 //! enabled must therefore be byte-identical to the same run with
 //! metrics disabled — the sim test suite pins exactly that across
-//! engines, schedulers, and shard counts.
+//! engines, schedulers, and kill/resume splits.
 //!
 //! # RunReport
 //!
@@ -48,31 +46,7 @@ use serde::{Deserialize, Serialize};
 
 /// Schema version stamped into every [`RunReport`]; bump on any field
 /// change so old readers fail loudly instead of misparsing.
-pub const REPORT_VERSION: u32 = 1;
-
-/// Number of log2 histogram buckets: bucket 0 holds zeros, bucket `i`
-/// (1 ≤ i ≤ 64) holds values in `[2^(i-1), 2^i - 1]`.
-const HISTOGRAM_BUCKETS: usize = 65;
-
-/// Which phase a shard worker is in; see [`Metrics::shard_phase`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Executing granted work (an epoch or a one-pick job).
-    Busy,
-    /// Waiting on the coordinator for the next job.
-    Idle,
-    /// Waiting on a neighbouring shard for a boundary handoff.
-    Blocked,
-}
-
-#[derive(Debug, Default)]
-struct ShardTimeline {
-    phase: Option<Phase>,
-    since: Option<Instant>,
-    busy_ns: u64,
-    idle_ns: u64,
-    blocked_ns: u64,
-}
+pub const REPORT_VERSION: u32 = 2;
 
 #[derive(Debug, Default)]
 struct TimerStats {
@@ -85,25 +59,7 @@ struct TimerStats {
 struct State {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Box<[u64; HISTOGRAM_BUCKETS]>>,
     timings: BTreeMap<&'static str, TimerStats>,
-    shards: BTreeMap<usize, ShardTimeline>,
-}
-
-impl State {
-    fn advance_shard(&mut self, shard: usize, phase: Option<Phase>, now: Instant) {
-        let timeline = self.shards.entry(shard).or_default();
-        if let (Some(prev), Some(since)) = (timeline.phase, timeline.since) {
-            let elapsed = now.duration_since(since).as_nanos() as u64;
-            match prev {
-                Phase::Busy => timeline.busy_ns += elapsed,
-                Phase::Idle => timeline.idle_ns += elapsed,
-                Phase::Blocked => timeline.blocked_ns += elapsed,
-            }
-        }
-        timeline.phase = phase;
-        timeline.since = Some(now);
-    }
 }
 
 #[derive(Debug, Default)]
@@ -155,42 +111,12 @@ impl Metrics {
         }
     }
 
-    /// Record one observation into the named log2 histogram.
-    #[inline]
-    pub fn record_histogram(&self, name: &'static str, value: u64) {
-        if let Some(inner) = &self.inner {
-            let mut state = inner.state.lock();
-            let buckets =
-                state.histograms.entry(name).or_insert_with(|| Box::new([0u64; HISTOGRAM_BUCKETS]));
-            buckets[bucket_index(value)] += 1;
-        }
-    }
-
     /// Start an opaque timer; its elapsed wall time is folded into the
     /// named timing summary when the returned handle drops. Disabled
     /// handles return an inert timer that never reads the clock.
     #[inline]
     pub fn start_timer(&self, name: &'static str) -> Timer {
         Timer { live: self.inner.as_ref().map(|inner| (Arc::clone(inner), name, Instant::now())) }
-    }
-
-    /// Record that shard `shard`'s worker entered `phase`; the time
-    /// since its previous transition accrues to the previous phase.
-    #[inline]
-    pub fn shard_phase(&self, shard: usize, phase: Phase) {
-        if let Some(inner) = &self.inner {
-            let now = Instant::now();
-            inner.state.lock().advance_shard(shard, Some(phase), now);
-        }
-    }
-
-    /// Close shard `shard`'s open phase interval (worker shutdown).
-    #[inline]
-    pub fn shard_done(&self, shard: usize) {
-        if let Some(inner) = &self.inner {
-            let now = Instant::now();
-            inner.state.lock().advance_shard(shard, None, now);
-        }
     }
 
     /// Snapshot the registry as a versioned [`RunReport`].
@@ -202,9 +128,7 @@ impl Metrics {
             version: REPORT_VERSION,
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
             timings: BTreeMap::new(),
-            shard_utilization: Vec::new(),
         };
         let Some(inner) = &self.inner else { return report };
         let state = inner.state.lock();
@@ -213,25 +137,6 @@ impl Metrics {
         }
         for (&name, &value) in &state.gauges {
             report.gauges.insert(name.to_string(), value);
-        }
-        for (&name, buckets) in &state.histograms {
-            let dumped: Vec<HistogramBucket> = buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &count)| count > 0)
-                .map(|(i, &count)| HistogramBucket {
-                    lo: if i == 0 { 0 } else { 1u64 << (i - 1) },
-                    hi: if i == 0 {
-                        0
-                    } else if i == 64 {
-                        u64::MAX
-                    } else {
-                        (1u64 << i) - 1
-                    },
-                    count,
-                })
-                .collect();
-            report.histograms.insert(name.to_string(), dumped);
         }
         for (&name, stats) in &state.timings {
             report.timings.insert(
@@ -242,14 +147,6 @@ impl Metrics {
                     max_ns: stats.max_ns,
                 },
             );
-        }
-        for (&shard, timeline) in &state.shards {
-            report.shard_utilization.push(ShardUtilization {
-                shard,
-                busy_ns: timeline.busy_ns,
-                idle_ns: timeline.idle_ns,
-                blocked_ns: timeline.blocked_ns,
-            });
         }
         report
     }
@@ -308,28 +205,6 @@ impl Drop for Timer {
     }
 }
 
-/// Map a value to its fixed log2 bucket: 0 → bucket 0, otherwise
-/// bucket `i` covers `[2^(i-1), 2^i - 1]`.
-fn bucket_index(value: u64) -> usize {
-    if value == 0 {
-        0
-    } else {
-        64 - value.leading_zeros() as usize
-    }
-}
-
-/// One nonzero log2 histogram bucket in a [`RunReport`] dump; `lo..=hi`
-/// is the covered value range.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HistogramBucket {
-    /// Smallest value this bucket covers.
-    pub lo: u64,
-    /// Largest value this bucket covers.
-    pub hi: u64,
-    /// Observations recorded into the bucket.
-    pub count: u64,
-}
-
 /// Folded summary of one named timer in a [`RunReport`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TimingSummary {
@@ -339,20 +214,6 @@ pub struct TimingSummary {
     pub total_ns: u64,
     /// Longest single handle, nanoseconds.
     pub max_ns: u64,
-}
-
-/// Per-shard busy/idle/blocked wall-time split — the multi-core
-/// utilization answer for the sharded engine.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardUtilization {
-    /// Shard index.
-    pub shard: usize,
-    /// Nanoseconds spent executing granted work.
-    pub busy_ns: u64,
-    /// Nanoseconds spent waiting on the coordinator.
-    pub idle_ns: u64,
-    /// Nanoseconds spent waiting on boundary handoffs.
-    pub blocked_ns: u64,
 }
 
 /// Versioned JSON export of a [`Metrics`] registry; the artifact behind
@@ -365,12 +226,8 @@ pub struct RunReport {
     pub counters: BTreeMap<String, u64>,
     /// Named max-gauges.
     pub gauges: BTreeMap<String, u64>,
-    /// Named log2 histograms, nonzero buckets only.
-    pub histograms: BTreeMap<String, Vec<HistogramBucket>>,
     /// Named timing summaries.
     pub timings: BTreeMap<String, TimingSummary>,
-    /// Per-shard phase timelines, in shard order.
-    pub shard_utilization: Vec<ShardUtilization>,
 }
 
 /// Error from [`RunReport::from_json`]: unparsable text or a report
@@ -446,16 +303,13 @@ mod tests {
         assert!(!m.is_enabled());
         m.counter_add("engine.deliveries", 5);
         m.gauge_max("engine.bit_rounds", 9);
-        m.record_histogram("shard.epoch_len", 12);
-        m.shard_phase(0, Phase::Busy);
         drop(m.start_timer("checkpoint.capture"));
         assert_eq!(m.counter_value("engine.deliveries"), 0);
         assert_eq!(m.gauge_value("engine.bit_rounds"), 0);
         let report = m.run_report();
         assert!(report.counters.is_empty());
-        assert!(report.histograms.is_empty());
+        assert!(report.gauges.is_empty());
         assert!(report.timings.is_empty());
-        assert!(report.shard_utilization.is_empty());
     }
 
     #[test]
@@ -471,34 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_log2_and_deterministic() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(1023), 10);
-        assert_eq!(bucket_index(1024), 11);
-        assert_eq!(bucket_index(u64::MAX), 64);
-
-        let m = Metrics::enabled();
-        m.record_histogram("shard.epoch_len", 0);
-        m.record_histogram("shard.epoch_len", 3);
-        m.record_histogram("shard.epoch_len", 3);
-        m.record_histogram("shard.epoch_len", 100);
-        let report = m.run_report();
-        let buckets = &report.histograms["shard.epoch_len"];
-        assert_eq!(
-            buckets,
-            &vec![
-                HistogramBucket { lo: 0, hi: 0, count: 1 },
-                HistogramBucket { lo: 2, hi: 3, count: 2 },
-                HistogramBucket { lo: 64, hi: 127, count: 1 },
-            ]
-        );
-    }
-
-    #[test]
     fn timers_fold_into_summaries() {
         let m = Metrics::enabled();
         drop(m.start_timer("checkpoint.capture"));
@@ -510,32 +336,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_phases_accrue_to_the_previous_phase() {
-        let m = Metrics::enabled();
-        m.shard_phase(1, Phase::Idle);
-        m.shard_phase(1, Phase::Busy);
-        m.shard_phase(1, Phase::Blocked);
-        m.shard_done(1);
-        let report = m.run_report();
-        assert_eq!(report.shard_utilization.len(), 1);
-        let util = &report.shard_utilization[0];
-        assert_eq!(util.shard, 1);
-        // Every phase was entered and later exited, so each accrued
-        // some (possibly sub-microsecond but nonnegative) time; the
-        // struct itself must list all three splits.
-        let _ = util.busy_ns + util.idle_ns + util.blocked_ns;
-    }
-
-    #[test]
     fn run_report_round_trips_through_json() {
         let m = Metrics::enabled();
         m.counter_add("engine.deliveries", 4096);
-        m.counter_add("shard.epoch_grants", 9);
+        m.counter_add("engine.messages", 9);
         m.gauge_max("engine.max_message_bits", 13);
-        m.record_histogram("shard.epoch_len", 2048);
         drop(m.start_timer("checkpoint.capture"));
-        m.shard_phase(0, Phase::Busy);
-        m.shard_done(0);
         let report = m.run_report();
         let text = report.to_json_pretty();
         let back = RunReport::from_json(&text).expect("round trip");
@@ -552,6 +358,18 @@ mod tests {
         let text = report.to_json_pretty();
         let err = RunReport::from_json(&text).expect_err("version gate");
         assert!(err.reason.contains("unsupported"), "{err}");
+        // A report written before the schema dropped its histogram and
+        // per-worker utilization fields.
+        let v1 = r#"{
+          "version": 1,
+          "counters": {"engine.deliveries": 1},
+          "gauges": {},
+          "histograms": {"epoch_len": [{"lo": 2, "hi": 3, "count": 1}]},
+          "timings": {},
+          "shard_utilization": [{"shard": 0, "busy_ns": 5, "idle_ns": 0, "blocked_ns": 0}]
+        }"#;
+        let err = RunReport::from_json(v1).expect_err("v1 reports are foreign");
+        assert!(err.reason.contains("version 1 unsupported"), "{err}");
         let garbage = RunReport::from_json("{not json").expect_err("parse gate");
         assert!(garbage.reason.contains("unparsable"), "{garbage}");
     }

@@ -9,14 +9,9 @@
 //! counters fault plans key on. `run → snapshot at event k → restore →
 //! finish` is byte-identical — trace, stats, and exact error positions —
 //! to an uninterrupted run; the equivalence proptests in
-//! `crates/sim/tests/checkpoint_equiv.rs` pin this across engines and
-//! scheduling policies.
-//!
-//! Snapshots are engine-agnostic: a snapshot captured by the serial
-//! engine resumes under the sharded engine (any shard count) and vice
-//! versa, because both define the same observables. See the crate docs'
-//! *crash safety & faults* section for the sharded quiesce protocol and
-//! the threaded engine's restore-only support.
+//! `crates/sim/tests/checkpoint_equiv.rs` pin this across scheduling
+//! policies. The threaded runner can resume a snapshot but not capture
+//! one; see the crate docs' *crash safety & faults* section.
 //!
 //! Snapshots are serde-serializable (versioned with
 //! [`SNAPSHOT_VERSION`]) so the experiments CLI can write them to disk
@@ -45,8 +40,8 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// [`resume`](crate::RingRunner::resume). The run's *configuration*
 /// (scheduler, known-`n` mode, event budget, tracing mode) travels
 /// inside the snapshot, so resuming reproduces the interrupted run even
-/// on a differently-configured runner; only the shard count and fault
-/// plan of the resuming runner apply, since neither affects observables.
+/// on a differently-configured runner; only the fault plan and the
+/// metrics handle of the resuming runner apply.
 ///
 /// The fault plan is deliberately **not** serialized: the caller
 /// re-supplies it on resume, and the snapshot's per-position delivery
@@ -106,7 +101,7 @@ impl EngineSnapshot {
 
     /// Checks the snapshot is resumable on a ring of `n` processors.
     ///
-    /// A deserialized snapshot is untrusted input, and the engines index
+    /// A deserialized snapshot is untrusted input, and both runners index
     /// its vectors by position and link id. So besides the version and
     /// ring size, every per-position and per-link vector must have its
     /// exact length, and each link's seqs must strictly increase and stay

@@ -45,15 +45,13 @@ impl Outcome {
 /// See the [crate-level example](crate).
 #[derive(Debug, Clone)]
 pub struct RingRunner {
-    pub(crate) scheduler: Scheduler,
-    pub(crate) record_trace: bool,
-    pub(crate) trace_ring: Option<usize>,
-    pub(crate) known_ring_size: bool,
-    pub(crate) max_events: usize,
-    pub(crate) shards: usize,
-    pub(crate) fault_plan: Option<FaultPlan>,
-    pub(crate) epoch_batching: bool,
-    pub(crate) metrics: Metrics,
+    scheduler: Scheduler,
+    record_trace: bool,
+    trace_ring: Option<usize>,
+    known_ring_size: bool,
+    max_events: usize,
+    fault_plan: Option<FaultPlan>,
+    metrics: Metrics,
 }
 
 impl Default for RingRunner {
@@ -73,41 +71,18 @@ impl RingRunner {
             trace_ring: None,
             known_ring_size: false,
             max_events: 50_000_000,
-            shards: 1,
             fault_plan: None,
-            epoch_batching: true,
             metrics: Metrics::disabled(),
         }
     }
 
-    /// Attaches a metrics handle: run-level counters, histograms, and
-    /// timings flow into it (see the crate docs' Observability section).
+    /// Attaches a metrics handle: run-level counters, gauges, and timings
+    /// flow into it (see the crate docs' Observability section).
     /// The default disabled handle costs nothing; either way the run's
     /// observables are byte-identical — metrics read state, never feed
     /// it, and the equivalence suite pins exactly that.
     pub fn metrics(&mut self, metrics: Metrics) -> &mut Self {
         self.metrics = metrics;
-        self
-    }
-
-    /// Disables (or re-enables) epoch-batched round grants on the sharded
-    /// engine, forcing the one-pick-per-round merge path. Test-only: the
-    /// equivalence suite pins batched ≡ unbatched; production runs always
-    /// batch.
-    #[doc(hidden)]
-    pub fn epoch_batching(&mut self, on: bool) -> &mut Self {
-        self.epoch_batching = on;
-        self
-    }
-
-    /// Splits single runs across `shards` contiguous arcs, each owned by
-    /// a worker thread (see [`crate`] docs on the shard architecture).
-    ///
-    /// The result is byte-identical to the serial engine for every shard
-    /// count; `1` (the default) runs serially. Counts above the ring
-    /// size are clamped to one process per shard.
-    pub fn shards(&mut self, shards: usize) -> &mut Self {
-        self.shards = shards.max(1);
         self
     }
 
@@ -172,17 +147,14 @@ impl RingRunner {
     /// * [`SimError::Stalled`] if traffic dries up without a decision.
     /// * [`SimError::EventLimitExceeded`] if the budget is exhausted.
     pub fn run(&self, protocol: &dyn Protocol, word: &Word) -> Result<Outcome, SimError> {
-        finished(self.dispatch(protocol, word, None, None)?)
+        finished(self.execute(protocol, word, None, None)?)
     }
 
     /// Runs until `events` deliveries have occurred, then pauses and
     /// captures an [`EngineSnapshot`] — or completes first.
     ///
     /// The pause point is a delivery boundary: the snapshot is taken
-    /// before the `events + 1`-th delivery. The sharded engine pauses at
-    /// the first coordinator round boundary at or after `events` (see the
-    /// crate docs on the quiesce protocol); the resumed run's observables
-    /// are identical either way.
+    /// before the `events + 1`-th delivery.
     ///
     /// # Errors
     ///
@@ -196,7 +168,7 @@ impl RingRunner {
         word: &Word,
         events: usize,
     ) -> Result<RunPhase, SimError> {
-        self.dispatch(protocol, word, None, Some(events))
+        self.execute(protocol, word, None, Some(events))
     }
 
     /// Resumes a paused run from `snapshot` and drives it to completion.
@@ -204,8 +176,8 @@ impl RingRunner {
     /// `protocol` and `word` must be the ones the snapshot was captured
     /// from (process state is rebuilt by constructing fresh processes and
     /// feeding them [`Process::load_state`]). The snapshot carries the
-    /// run's configuration; of this runner's settings only the shard
-    /// count and fault plan apply.
+    /// run's configuration; of this runner's settings only the fault plan
+    /// and the metrics handle apply.
     ///
     /// # Errors
     ///
@@ -218,7 +190,7 @@ impl RingRunner {
         word: &Word,
         snapshot: &EngineSnapshot,
     ) -> Result<Outcome, SimError> {
-        finished(self.dispatch(protocol, word, Some(snapshot), None)?)
+        finished(self.execute(protocol, word, Some(snapshot), None)?)
     }
 
     /// Resumes from `snapshot` and pauses again after a total of `events`
@@ -235,12 +207,12 @@ impl RingRunner {
         snapshot: &EngineSnapshot,
         events: usize,
     ) -> Result<RunPhase, SimError> {
-        self.dispatch(protocol, word, Some(snapshot), Some(events))
+        self.execute(protocol, word, Some(snapshot), Some(events))
     }
 
-    /// Shared entry point: route to the sharded or serial engine, with an
-    /// optional snapshot to resume from and an optional pause point.
-    fn dispatch(
+    /// Shared entry point: the event loop, with an optional snapshot to
+    /// resume from and an optional pause point.
+    fn execute(
         &self,
         protocol: &dyn Protocol,
         word: &Word,
@@ -254,21 +226,6 @@ impl RingRunner {
         if let Some(snap) = resume {
             snap.validate(n)?;
         }
-        let shard_count = self.shards.min(n);
-        if shard_count > 1 {
-            return crate::shard::run_sharded(self, protocol, word, shard_count, resume, pause_at);
-        }
-        self.run_serial(protocol, word, resume, pause_at)
-    }
-
-    fn run_serial(
-        &self,
-        protocol: &dyn Protocol,
-        word: &Word,
-        resume: Option<&EngineSnapshot>,
-        pause_at: Option<usize>,
-    ) -> Result<RunPhase, SimError> {
-        let n = word.len();
         let topology = protocol.topology();
         let mut processes: Vec<Box<dyn Process>> = Vec::with_capacity(n);
         for (i, &sym) in word.symbols().iter().enumerate() {
@@ -355,7 +312,7 @@ impl RingRunner {
             if let Some(k) = pause_at {
                 if deliveries >= k {
                     let _capture_timer = self.metrics.start_timer("checkpoint.capture");
-                    let snap = capture_serial(
+                    let snap = capture(
                         n,
                         &scheduler,
                         known_ring_size,
@@ -392,8 +349,6 @@ impl RingRunner {
                 fault_plan.and_then(|p| p.for_delivery(receiver, counts[receiver]))
             });
             if let Some(f) = &fault {
-                // The serial engine has no worker to kill; KillShard is a
-                // no-op here (the sharded/threaded engines honour it).
                 if let Some(c) = &f.corrupt {
                     payload = c.apply(&payload);
                 }
@@ -451,7 +406,7 @@ impl RingRunner {
 /// Scheduler picks equal deliveries on the event engine (every pick
 /// delivers exactly one message); bit-rounds is the max over per-link
 /// bit totals, the unit of the Θ(D + log n) bound in PAPERS.md.
-pub(crate) fn flush_engine_metrics(metrics: &Metrics, stats: &ExecStats, ring: Option<&TraceRing>) {
+fn flush_engine_metrics(metrics: &Metrics, stats: &ExecStats, ring: Option<&TraceRing>) {
     if !metrics.is_enabled() {
         return;
     }
@@ -483,9 +438,9 @@ fn finished(phase: RunPhase) -> Result<Outcome, SimError> {
     }
 }
 
-/// Captures the serial engine's complete state at a delivery boundary.
+/// Captures the engine's complete state at a delivery boundary.
 #[allow(clippy::too_many_arguments)]
-fn capture_serial(
+fn capture(
     n: usize,
     scheduler: &Scheduler,
     known_ring_size: bool,

@@ -45,12 +45,6 @@ pub enum SimError {
         /// The underlying failure.
         source: ProcessError,
     },
-    /// A worker of the sharded engine terminated without reporting
-    /// (e.g. a panic inside a process handler killed its shard).
-    ShardFailed {
-        /// Index of the failed shard.
-        shard: usize,
-    },
     /// A checkpoint could not be captured or restored.
     Snapshot {
         /// What went wrong (unsupported protocol, version mismatch, ...).
@@ -79,9 +73,6 @@ impl fmt::Display for SimError {
             }
             SimError::Process { position, source } => {
                 write!(f, "processor {position} failed: {source}")
-            }
-            SimError::ShardFailed { shard } => {
-                write!(f, "shard {shard} of the sharded engine terminated without reporting")
             }
             SimError::Snapshot { reason } => {
                 write!(f, "checkpoint failed: {reason}")

@@ -7,10 +7,10 @@
 //! exercised only by ad-hoc corrupting adapters buried in integration
 //! tests. A [`FaultPlan`] turns fault injection into a library
 //! capability: a deterministic schedule of injections, keyed by
-//! `(position, per-position delivery count)`, that every engine applies
-//! at exactly the same point of the execution. Equal plans on equal
-//! runs give equal failures — fault injection is as reproducible as the
-//! runs themselves.
+//! `(position, per-position delivery count)`, that [`RingRunner`]
+//! applies at exactly the same point of every execution. Equal plans on
+//! equal runs give equal failures — fault injection is as reproducible
+//! as the runs themselves. The threaded runner applies no plans.
 //!
 //! The plan is evaluated on the *receiving* side of a delivery:
 //!
@@ -24,18 +24,14 @@
 //!   the direct route to [`SimError::IllegalSend`],
 //!   [`SimError::FollowerDecided`], and (by flooding)
 //!   [`SimError::EventLimitExceeded`];
-//! * [`FaultAction::KillShard`] terminates the engine worker that owns
-//!   the receiving processor (sharded and threaded engines; the serial
-//!   engine has no worker to kill and ignores it), producing a
-//!   deterministic [`SimError::ShardFailed`];
 //! * [`FaultAction::Delay`] sleeps before handling — wall-clock only,
 //!   observables unchanged, for exercising timeouts and backpressure.
 //!
+//! [`RingRunner`]: crate::RingRunner
 //! [`SimError`]: crate::SimError
 //! [`SimError::IllegalSend`]: crate::SimError::IllegalSend
 //! [`SimError::FollowerDecided`]: crate::SimError::FollowerDecided
 //! [`SimError::EventLimitExceeded`]: crate::SimError::EventLimitExceeded
-//! [`SimError::ShardFailed`]: crate::SimError::ShardFailed
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -93,12 +89,6 @@ pub enum FaultAction {
         /// The forced decision.
         accept: bool,
     },
-    /// Kill the engine worker owning the receiving processor before the
-    /// message is handled. Sharded runs fail with a deterministic
-    /// [`SimError::ShardFailed`](crate::SimError::ShardFailed); threaded
-    /// runs lose the processor's thread (and stall out). The serial
-    /// engine has no worker to kill and ignores this action.
-    KillShard,
     /// Sleep for this long before handling the message. Wall-clock only:
     /// no observable (trace, stats, decision) changes.
     Delay {
@@ -109,8 +99,9 @@ pub enum FaultAction {
 
 /// One scheduled injection: fire `action` when the processor at
 /// `position` receives its `delivery`-th message (1-based, counted per
-/// receiver — a coordinate every engine agrees on, unlike global event
-/// indexes, which shift when tracing toggles seq consumption).
+/// receiver — a coordinate independent of how deliveries elsewhere
+/// interleave, unlike global event indexes, which shift when tracing
+/// toggles seq consumption).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fault {
     /// 0-based position of the receiving processor (leader = 0).
@@ -125,10 +116,9 @@ pub struct Fault {
 
 /// A deterministic schedule of fault injections.
 ///
-/// Plans are applied identically by the serial, sharded, and threaded
-/// engines (the threaded engine supports the corrupt/stall/kill subset;
-/// see the crate docs). An empty plan is free: engines skip fault lookup
-/// entirely.
+/// Only [`RingRunner`](crate::RingRunner) applies plans; the threaded
+/// runner has no fault-plan hook. An empty plan is free: the engine
+/// skips fault lookup entirely.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     faults: Vec<Fault>,
@@ -203,7 +193,6 @@ impl FaultPlan {
                     slot.inject_sends.push((*direction, payload.clone()));
                 }
                 FaultAction::InjectDecide { accept } => slot.inject_decide = Some(*accept),
-                FaultAction::KillShard => slot.kill_shard = true,
                 FaultAction::Delay { micros } => slot.delay_micros += micros,
             }
         }
@@ -212,14 +201,13 @@ impl FaultPlan {
 }
 
 /// Everything the fault plan injects at one delivery, pre-resolved so
-/// engines apply it without re-scanning the plan. When several faults
+/// the engine applies it without re-scanning the plan. When several faults
 /// fire together, sends and delays accumulate; for corrupt and decide
 /// the *last* scheduled fault wins.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DeliveryFault {
     pub(crate) corrupt: Option<Corruption>,
     pub(crate) stall: bool,
-    pub(crate) kill_shard: bool,
     pub(crate) delay_micros: u64,
     pub(crate) inject_sends: Vec<(Direction, BitString)>,
     pub(crate) inject_decide: Option<bool>,
@@ -392,7 +380,6 @@ mod tests {
         assert_eq!(f.inject_sends.len(), 1);
         assert_eq!(f.delay_micros, 5);
         assert!(!f.stall);
-        assert!(!f.kill_shard);
     }
 
     #[test]

@@ -22,38 +22,19 @@
 //!
 //! # Execution engines
 //!
-//! One model, three engines — each a different point on the
-//! fidelity/throughput plane, all constrained to agree:
+//! One model, two engines, constrained to agree:
 //!
-//! * **Serial event loop** (the [`RingRunner`] default): one thread pops
-//!   the scheduler's next in-flight message, delivers it, routes the
-//!   sends. Every observable — decision, [`ExecStats`], [`Trace`] — is
-//!   defined by this engine; it is the *oracle* the others are tested
-//!   against, exactly like the naive scheduler that survives as the
-//!   oracle for the incremental link index.
-//! * **Sharded engine** ([`RingRunner::shards`]): the ring is split into
-//!   contiguous arcs, each owned by a pool worker that runs the event
-//!   loop over its arc; boundary links hand messages off through
-//!   channels, and a coordinator merges per-shard reports in the serial
-//!   scheduler's exact pick order. Whenever every in-flight message
-//!   targets one arc, the coordinator grants that shard an *epoch* — a
-//!   replica of the scheduler state good for a whole batch of
-//!   consecutive picks, executed shard-side and merged from one report
-//!   (replayed pick-by-pick when tracing, folded as O(touched)
-//!   aggregate counters when not) — and falls back to per-round
-//!   delivery commands (whole in-flight
-//!   windows for FIFO, one pick for LongestQueue/Random) only while
-//!   in-flight traffic genuinely spans arcs. The output is
-//!   **byte-identical to the serial engine for every shard count and
-//!   scheduling policy** — pinned trace-by-trace in
-//!   `tests/shard_equiv.rs` (which also pins epoch-batched ≡ one-pick
-//!   merging and the coordination budget: under one coordinator channel
-//!   message per delivery on a FIFO one-pass) and at scale in the soak
-//!   tier — so sharding is purely a wall-clock/capacity decision.
+//! * **Serial event loop** ([`RingRunner`]): one thread pops the
+//!   scheduler's next in-flight message, delivers it, routes the sends.
+//!   Every observable — decision, [`ExecStats`], [`Trace`] — is defined
+//!   by this engine. The paper's protocols are token passes started by
+//!   the leader, with one or a few messages in flight, so a single ring
+//!   has no parallelism to extract; independent runs go wide instead,
+//!   across grid points and specs ([`pool::ordered_map`]).
 //! * **Threaded runner** ([`ThreadedRunner`]): one OS thread per
 //!   processor with real blocking channels — the most literal reading of
-//!   the asynchronous model, used to cross-check that the event-driven
-//!   engines didn't bake in a scheduling assumption.
+//!   the asynchronous model, used to cross-check that the event loop
+//!   didn't bake in a scheduling assumption.
 //!
 //! # Crash safety & faults
 //!
@@ -67,18 +48,6 @@
 //!   trace ring, and the seq/delivery clocks. [`RingRunner::resume`]
 //!   rebuilds the engine and finishes the run **byte-identically** —
 //!   trace, stats, and exact error positions — to an uninterrupted run.
-//!   Snapshots are engine-agnostic: capture serially, resume sharded, or
-//!   vice versa.
-//! * **Sharded quiesce.** The sharded engine checkpoints at coordinator
-//!   round/epoch boundaries: the coordinator stops granting work at the
-//!   first boundary at or after the requested event index (epoch grants
-//!   are clipped to the pause point, so an epoch never overshoots it),
-//!   asks each worker to drain its in-bound boundary channels and
-//!   serialize its arc (processes + queue payloads), and zips the
-//!   payloads with its own payload-free link replica's sequence numbers.
-//!   The pause point may land a few deliveries after the serial
-//!   engine's (a round is atomic), but the resumed run's observables
-//!   are identical.
 //! * **Threaded restore.** The threaded runner *resumes* snapshots
 //!   ([`ThreadedRunner::resume`] preloads the channels and skips the
 //!   leader start) but cannot *capture* them: with one OS thread per
@@ -87,8 +56,9 @@
 //! * **Fault plans.** A [`FaultPlan`] ([`RingRunner::fault_plan`]) is a
 //!   deterministic schedule of injections keyed on (position,
 //!   per-position delivery count): corrupt/stall/inject-send/
-//!   inject-decide/kill-shard/delay. Every [`SimError`] variant is
-//!   reachable on demand — see the `faults` module docs. Plans are not
+//!   inject-decide/delay. Every [`SimError`] variant is reachable on
+//!   demand — see the `faults` module docs. Only [`RingRunner`] applies
+//!   plans; [`ThreadedRunner`] has no fault-plan hook. Plans are not
 //!   serialized into snapshots; the caller re-supplies them on resume
 //!   and the snapshot's per-position delivery counters keep triggers
 //!   aligned.
@@ -100,28 +70,20 @@
 //!
 //! # Observability
 //!
-//! Every engine records into a shared metrics registry when the caller
+//! Both engines record into a shared metrics registry when the caller
 //! attaches one via [`RingRunner::metrics`] (or
 //! [`ThreadedRunner::metrics`]): a `ringleader_obs::Metrics` handle of
-//! named counters, max-gauges, log2-bucketed histograms, opaque timers,
-//! and per-shard busy/idle/blocked phase timelines. The default handle
-//! is disabled and costs nothing — every record call is an inlined
-//! no-op on a `None`.
+//! named counters, max-gauges, and opaque timers. The default handle is
+//! disabled and costs nothing — every record call is an inlined no-op
+//! on a `None`.
 //!
 //! * **Engine counters** flush *once*, at the run's `Done` boundary,
 //!   from totals the run already computed (`engine.deliveries`,
 //!   `engine.scheduler_picks`, `engine.messages`, `engine.bits_sent`,
 //!   the `engine.max_message_bits` / `engine.bit_rounds` gauges,
 //!   `trace.ring_drops`) — zero hot-loop cost.
-//! * **Shard telemetry** records at coordinator-round granularity:
-//!   `shard.channel_ops` (the PR 9 coordination budget, now a registry
-//!   counter), `shard.epoch_grants` / `shard.handoff_pregrants` /
-//!   `shard.epochs_aggregate` / `shard.epochs_traced` /
-//!   `shard.window_rounds`, the `shard.epoch_len` histogram, and each
-//!   worker's busy/idle/blocked wall-time split — the data that answers
-//!   ROADMAP item 1's multi-core question.
 //! * **Checkpoint timers** (`checkpoint.capture` / `checkpoint.restore`)
-//!   wrap the snapshot cycle on both engines.
+//!   wrap the snapshot cycle.
 //!
 //! The load-bearing contract: **metrics read state, they never feed
 //! it**. Monotonic wall time lives only inside `ringleader_obs` (the
@@ -131,8 +93,8 @@
 //! rule bans reading metric values back in result-affecting crates. A
 //! metrics-enabled run is therefore **byte-identical** — outcome,
 //! stats, trace, error positions — to the same run with metrics
-//! disabled, across engines × schedulers × shard counts × kill/resume
-//! cycles, pinned by `tests/metrics_equiv.rs`.
+//! disabled, across engines × schedulers × kill/resume cycles, pinned
+//! by `tests/metrics_equiv.rs`.
 //!
 //! # Examples
 //!
@@ -194,7 +156,6 @@ mod error;
 mod faults;
 pub mod pool;
 mod sched;
-mod shard;
 mod stats;
 mod threaded;
 mod token;

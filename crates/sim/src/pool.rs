@@ -32,22 +32,11 @@
 //! re-raised on the caller's thread after every worker has finished —
 //! the same observable behaviour as a serial loop that panics at that
 //! point, minus the later results.
-//!
-//! [`ThreadPool`] is the long-lived variant for `'static` jobs (soak
-//! rigs, services): explicit handle, graceful drop (disconnect + join),
-//! workers that survive job panics. The sharded engine (`crate::shard`)
-//! runs its arc workers on a `ThreadPool`: the panic-absorbing workers
-//! are what turn a panicking process handler into a channel disconnect
-//! the coordinator can report as a clean `ShardFailed`, and the
-//! drain-then-join drop is what guarantees no worker outlives a run.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::thread;
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use ringleader_obs::Metrics;
+use crossbeam::channel::{unbounded, Receiver, Sender};
 
 /// Default worker count: the machine's available parallelism.
 #[must_use]
@@ -144,135 +133,6 @@ where
 }
 
 type Panic = Box<dyn std::any::Any + Send + 'static>;
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A long-lived pool of worker threads for `'static` jobs.
-///
-/// Workers block on a shared injector queue with a *real* `recv` park
-/// (no polling; see the crossbeam shim) and exit when the pool drops the
-/// injector. A panicking job is caught and counted — the worker itself
-/// survives, so one bad job cannot shrink the pool.
-///
-/// # Examples
-///
-/// ```rust
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-/// use std::sync::Arc;
-///
-/// let pool = ringleader_sim::pool::ThreadPool::new(4);
-/// let hits = Arc::new(AtomicUsize::new(0));
-/// for _ in 0..32 {
-///     let hits = Arc::clone(&hits);
-///     pool.execute(move || {
-///         hits.fetch_add(1, Ordering::SeqCst);
-///     });
-/// }
-/// drop(pool); // disconnects the queue, drains, joins — no deadlock
-/// assert_eq!(hits.load(Ordering::SeqCst), 32);
-/// ```
-pub struct ThreadPool {
-    injector: Option<Sender<Job>>,
-    handles: Vec<thread::JoinHandle<()>>,
-    panicked: Arc<AtomicUsize>,
-    /// Jobs enqueued but not yet dequeued by a worker; feeds the
-    /// `pool.queue_depth_max` gauge.
-    pending: Arc<AtomicUsize>,
-    metrics: Metrics,
-}
-
-impl std::fmt::Debug for ThreadPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool")
-            .field("workers", &self.handles.len())
-            .field("panicked_jobs", &self.panicked.load(Ordering::SeqCst))
-            .finish()
-    }
-}
-
-impl ThreadPool {
-    /// Spawns a pool of `workers` threads (at least one).
-    #[must_use]
-    pub fn new(workers: usize) -> Self {
-        Self::new_with_metrics(workers, Metrics::disabled())
-    }
-
-    /// Spawns a pool whose job flow records into `metrics`: `pool.jobs`
-    /// (enqueued), `pool.parks` (a worker found the queue empty and
-    /// blocked), and the `pool.queue_depth_max` gauge. A disabled handle
-    /// makes this identical to [`new`](Self::new).
-    #[must_use]
-    pub fn new_with_metrics(workers: usize, metrics: Metrics) -> Self {
-        let workers = workers.max(1);
-        let (tx, rx) = unbounded::<Job>();
-        let panicked = Arc::new(AtomicUsize::new(0));
-        let pending = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let rx = rx.clone();
-            let panicked = Arc::clone(&panicked);
-            let pending = Arc::clone(&pending);
-            let metrics = metrics.clone();
-            handles.push(thread::spawn(move || {
-                loop {
-                    // Drain without blocking while work is queued; an
-                    // empty queue is a park — the worker blocks on a
-                    // *real* recv until a job arrives or the pool drops
-                    // its injector (disconnect ends the loop).
-                    let job = match rx.try_recv() {
-                        Ok(job) => job,
-                        Err(TryRecvError::Empty) => {
-                            metrics.counter_add("pool.parks", 1);
-                            match rx.recv() {
-                                Ok(job) => job,
-                                Err(_) => break,
-                            }
-                        }
-                        Err(TryRecvError::Disconnected) => break,
-                    };
-                    pending.fetch_sub(1, Ordering::SeqCst);
-                    if catch_unwind(AssertUnwindSafe(job)).is_err() {
-                        panicked.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-            }));
-        }
-        ThreadPool { injector: Some(tx), handles, panicked, pending, metrics }
-    }
-
-    /// Enqueues a job; some idle worker picks it up.
-    pub fn execute<F: FnOnce() + Send + 'static>(&self, job: F) {
-        let depth = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
-        self.metrics.counter_add("pool.jobs", 1);
-        self.metrics.gauge_max("pool.queue_depth_max", depth as u64);
-        let sent = self.injector.as_ref().expect("injector lives until drop").send(Box::new(job));
-        assert!(sent.is_ok(), "workers hold the receiver until drop");
-    }
-
-    /// Number of worker threads.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Jobs that panicked since the pool started.
-    #[must_use]
-    pub fn panicked_jobs(&self) -> usize {
-        self.panicked.load(Ordering::SeqCst)
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        // Disconnect the injector; workers drain what's queued and exit.
-        self.injector.take();
-        for h in self.handles.drain(..) {
-            // A worker can only have panicked via a bug in this module
-            // (jobs are caught); don't double-panic during drop.
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,39 +193,5 @@ mod tests {
         let elapsed = start.elapsed();
         assert_eq!(out.len(), 12);
         assert!(elapsed < Duration::from_millis(200), "no overlap: {elapsed:?}");
-    }
-
-    #[test]
-    fn thread_pool_runs_jobs_and_drops_clean() {
-        let pool = ThreadPool::new(3);
-        assert_eq!(pool.workers(), 3);
-        let hits = Arc::new(AtomicUsize::new(0));
-        for _ in 0..64 {
-            let hits = Arc::clone(&hits);
-            pool.execute(move || {
-                hits.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        drop(pool);
-        assert_eq!(hits.load(Ordering::SeqCst), 64);
-    }
-
-    #[test]
-    fn thread_pool_survives_job_panics() {
-        let pool = ThreadPool::new(2);
-        let hits = Arc::new(AtomicUsize::new(0));
-        for i in 0..10 {
-            let hits = Arc::clone(&hits);
-            pool.execute(move || {
-                assert!(i % 2 == 0, "odd jobs blow up");
-                hits.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        // Drop drains the queue and joins: all even jobs ran, the five
-        // odd panics were absorbed without killing workers.
-        let counter = Arc::clone(&pool.panicked);
-        drop(pool);
-        assert_eq!(hits.load(Ordering::SeqCst), 5);
-        assert_eq!(counter.load(Ordering::SeqCst), 5);
     }
 }

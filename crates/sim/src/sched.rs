@@ -46,12 +46,6 @@
 //! pins full-run equivalence. Each index also counts its elementary
 //! operations ([`LinkIndex::index_ops`]) so tests can assert the
 //! per-event cost stays O(log n) instead of O(n).
-//!
-//! The sharded engine (`crate::shard`) leans on the same abstraction
-//! from the other side: its coordinator replays a payload-free replica
-//! of the link state through a second `LinkIndex` instance, so the
-//! merged delivery order *is* this module's pick order — one policy
-//! implementation, shared by both engines, checked against one oracle.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};

@@ -7,10 +7,9 @@
 //! with the event engine — experiment E12 checks that, closing the gap
 //! between "simulated" and "actually concurrent" executions.
 //!
-//! This is the opposite trade from the sharded engine (`crate::shard`):
-//! that one buys throughput at large `n` while staying byte-identical to
-//! the serial schedule; this one surrenders the schedule to the OS on
-//! purpose, as evidence the measured bit counts never depended on it.
+//! Where the serial event loop fixes the schedule, this backend
+//! surrenders it to the OS on purpose, as evidence the measured bit
+//! counts never depended on it. It applies no fault plan.
 //!
 //! The backend piggybacks a control signal on the data channels: when the
 //! leader decides, a `Halt` envelope is flooded clockwise so every thread
@@ -125,7 +124,7 @@ impl ThreadedRunner {
         self.launch(protocol, word, None)
     }
 
-    /// Resumes an [`EngineSnapshot`] captured by the event engines on
+    /// Resumes an [`EngineSnapshot`] captured by the event loop on
     /// real threads: processes are restored via
     /// [`Process::load_state`](crate::Process::load_state), the
     /// snapshot's in-flight messages are preloaded onto the channels,

@@ -217,7 +217,7 @@ impl TraceRing {
     }
 }
 
-/// Where the engines record trace events: an unbounded [`Trace`], a
+/// Where the event loop records trace events: an unbounded [`Trace`], a
 /// bounded [`TraceRing`], both, or neither.
 ///
 /// Sequence-number consumption is keyed on [`active`](TraceSink::active):

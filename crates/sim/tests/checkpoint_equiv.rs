@@ -1,8 +1,8 @@
 //! Checkpoint/restore equivalence: `run → snapshot at event k → restore
 //! → finish` must be **byte-identical** — trace, stats, and exact error
-//! positions — to an uninterrupted run, for every engine and scheduling
-//! policy, including snapshots taken mid-fault-plan and snapshots that
-//! cross engines (capture serial, resume sharded, and vice versa).
+//! positions — to an uninterrupted run, for every scheduling policy,
+//! including snapshots taken mid-fault-plan; the threaded runner resumes
+//! event-engine snapshots with the same decision and bit totals.
 
 use proptest::prelude::*;
 use ringleader_automata::{Alphabet, Symbol, Word};
@@ -197,50 +197,6 @@ proptest! {
         assert_kill_resume_identical(&runner, &runner, &baseline, &proto, &w, k, "serial");
     }
 
-    /// Sharded capture → sharded resume (round-boundary quiesce), against
-    /// the *serial* baseline: the stitched sharded run must still be
-    /// byte-identical to one uninterrupted serial run.
-    #[test]
-    fn sharded_snapshot_restore_matches_serial(
-        n in 4usize..16,
-        burst in 1usize..4,
-        laps in 1u64..3,
-        k in 0usize..60,
-        scheduler_pick in 0usize..3,
-        shards in 2usize..5,
-    ) {
-        let proto = StatefulStorm { burst, laps };
-        let w = word(n);
-        let scheduler = schedulers()[scheduler_pick].clone();
-        let mut serial = RingRunner::new();
-        serial.scheduler(scheduler.clone()).record_trace(true);
-        let baseline = serial.run(&proto, &w).unwrap();
-        let mut sharded = RingRunner::new();
-        sharded.scheduler(scheduler).record_trace(true).shards(shards);
-        assert_kill_resume_identical(&sharded, &sharded, &baseline, &proto, &w, k, "sharded");
-    }
-
-    /// Snapshots are engine-agnostic: serial→sharded and sharded→serial
-    /// both reproduce the serial baseline.
-    #[test]
-    fn snapshots_cross_engines(
-        n in 4usize..14,
-        k in 1usize..40,
-        scheduler_pick in 0usize..3,
-        shards in 2usize..4,
-    ) {
-        let proto = StatefulStorm { burst: 2, laps: 2 };
-        let w = word(n);
-        let scheduler = schedulers()[scheduler_pick].clone();
-        let mut serial = RingRunner::new();
-        serial.scheduler(scheduler.clone()).record_trace(true);
-        let mut sharded = RingRunner::new();
-        sharded.scheduler(scheduler).record_trace(true).shards(shards);
-        let baseline = serial.run(&proto, &w).unwrap();
-        assert_kill_resume_identical(&serial, &sharded, &baseline, &proto, &w, k, "serial→sharded");
-        assert_kill_resume_identical(&sharded, &serial, &baseline, &proto, &w, k, "sharded→serial");
-    }
-
     /// Repeated pause/resume — checkpoint every `step` deliveries until
     /// done — matches one uninterrupted run, and snapshots survive a
     /// serde round trip between legs.
@@ -292,36 +248,30 @@ fn snapshot_mid_fault_plan_reproduces_the_exact_error() {
     });
 
     for scheduler in schedulers() {
-        for shards in [1usize, 3] {
-            let mut runner = RingRunner::new();
-            runner
-                .scheduler(scheduler.clone())
-                .record_trace(true)
-                .shards(shards)
-                .fault_plan(plan.clone());
-            let baseline = runner.run(&proto, &w).expect_err("corruption kills the run");
-            let SimError::Process { position: base_pos, source: base_src } = &baseline else {
-                panic!("expected a process error, got {baseline:?}");
-            };
-            assert_eq!(*base_pos, position);
+        let mut runner = RingRunner::new();
+        runner.scheduler(scheduler).record_trace(true).fault_plan(plan.clone());
+        let baseline = runner.run(&proto, &w).expect_err("corruption kills the run");
+        let SimError::Process { position: base_pos, source: base_src } = &baseline else {
+            panic!("expected a process error, got {baseline:?}");
+        };
+        assert_eq!(*base_pos, position);
 
-            // Pause well before the fault fires, then resume with the
-            // plan re-supplied.
-            for k in [1usize, 6, 11] {
-                match runner.run_until(&proto, &w, k) {
-                    Ok(RunPhase::Paused(snap)) => {
-                        let err = runner.resume(&proto, &w, &snap).expect_err("fault still fires");
-                        let SimError::Process { position: pos, source: src } = &err else {
-                            panic!("expected a process error, got {err:?}");
-                        };
-                        assert_eq!(pos, base_pos, "k={k}");
-                        assert_eq!(src, base_src, "k={k}");
-                    }
-                    Ok(RunPhase::Done(_)) => panic!("the faulty run cannot finish"),
-                    Err(err) => {
-                        // The pause point may land after the fault fires.
-                        assert_eq!(err, baseline, "k={k}");
-                    }
+        // Pause well before the fault fires, then resume with the plan
+        // re-supplied.
+        for k in [1usize, 6, 11] {
+            match runner.run_until(&proto, &w, k) {
+                Ok(RunPhase::Paused(snap)) => {
+                    let err = runner.resume(&proto, &w, &snap).expect_err("fault still fires");
+                    let SimError::Process { position: pos, source: src } = &err else {
+                        panic!("expected a process error, got {err:?}");
+                    };
+                    assert_eq!(pos, base_pos, "k={k}");
+                    assert_eq!(src, base_src, "k={k}");
+                }
+                Ok(RunPhase::Done(_)) => panic!("the faulty run cannot finish"),
+                Err(err) => {
+                    // The pause point may land after the fault fires.
+                    assert_eq!(err, baseline, "k={k}");
                 }
             }
         }
@@ -398,33 +348,27 @@ fn trace_ring_survives_checkpoints_and_matches_the_trace_tail() {
     let w = word(8);
     let capacity = 16;
 
-    for shards in [1usize, 3] {
-        let mut full = RingRunner::new();
-        full.record_trace(true).shards(shards);
-        let baseline = full.run(&proto, &w).unwrap();
-        let trace = baseline.trace.as_ref().unwrap();
+    let mut full = RingRunner::new();
+    full.record_trace(true);
+    let baseline = full.run(&proto, &w).unwrap();
+    let trace = baseline.trace.as_ref().unwrap();
 
-        let mut ringed = RingRunner::new();
-        ringed.trace_ring(capacity).shards(shards);
-        let direct = ringed.run(&proto, &w).unwrap();
+    let mut ringed = RingRunner::new();
+    ringed.trace_ring(capacity);
+    let direct = ringed.run(&proto, &w).unwrap();
 
-        // Interrupted run with the same ring: identical ring contents.
-        let stitched = match ringed.run_until(&proto, &w, 7).unwrap() {
-            RunPhase::Done(o) => o,
-            RunPhase::Paused(snap) => ringed.resume(&proto, &w, &snap).unwrap(),
-        };
-        assert_eq!(direct.trace_ring, stitched.trace_ring, "shards={shards}");
+    // Interrupted run with the same ring: identical ring contents.
+    let stitched = match ringed.run_until(&proto, &w, 7).unwrap() {
+        RunPhase::Done(o) => o,
+        RunPhase::Paused(snap) => ringed.resume(&proto, &w, &snap).unwrap(),
+    };
+    assert_eq!(direct.trace_ring, stitched.trace_ring);
 
-        // The ring holds exactly the tail of the full trace.
-        let ring = direct.trace_ring.as_ref().unwrap();
-        let tail: Vec<_> = trace.events().iter().rev().take(capacity).rev().collect();
-        assert_eq!(ring.tail(capacity), tail, "shards={shards}");
-        assert_eq!(
-            ring.dropped() as usize,
-            trace.events().len().saturating_sub(capacity),
-            "shards={shards}"
-        );
-    }
+    // The ring holds exactly the tail of the full trace.
+    let ring = direct.trace_ring.as_ref().unwrap();
+    let tail: Vec<_> = trace.events().iter().rev().take(capacity).rev().collect();
+    assert_eq!(ring.tail(capacity), tail);
+    assert_eq!(ring.dropped() as usize, trace.events().len().saturating_sub(capacity));
 }
 
 // ---------------------------------------------------------------------------
@@ -474,14 +418,11 @@ fn capture_requires_save_state() {
         }
     }
 
-    for shards in [1usize, 2] {
-        let mut runner = RingRunner::new();
-        runner.shards(shards);
-        // Plain runs don't need save_state...
-        assert!(runner.run(&Opaque, &word(4)).is_ok(), "shards={shards}");
-        // ...but capture does.
-        let err = runner.run_until(&Opaque, &word(4), 1).unwrap_err();
-        assert!(matches!(err, SimError::Snapshot { .. }), "shards={shards}: {err:?}");
-        assert!(err.to_string().contains("save_state"), "shards={shards}: {err}");
-    }
+    let runner = RingRunner::new();
+    // Plain runs don't need save_state...
+    assert!(runner.run(&Opaque, &word(4)).is_ok());
+    // ...but capture does.
+    let err = runner.run_until(&Opaque, &word(4), 1).unwrap_err();
+    assert!(matches!(err, SimError::Snapshot { .. }), "{err:?}");
+    assert!(err.to_string().contains("save_state"), "{err}");
 }

@@ -1,9 +1,9 @@
 //! Fault plans make every [`SimError`] variant reachable **on demand**:
 //! a deterministic, seeded schedule of injections replaces the ad-hoc
 //! corrupting adapters the failure tests used to hand-roll. Each test
-//! here drives one variant from a plain [`FaultPlan`], and the
-//! serial/sharded engines must agree on the failure down to the exact
-//! position.
+//! here drives one variant from a plain [`FaultPlan`] on [`RingRunner`],
+//! the one engine that applies plans, and pins the failure down to the
+//! exact position.
 
 use ringleader_automata::{Alphabet, Symbol, Word};
 use ringleader_bitio::{BitReader, BitString, BitWriter};
@@ -105,15 +105,11 @@ fn one_shot(position: usize, delivery: u64, action: FaultAction) -> FaultPlan {
     plan
 }
 
-/// Runs the relay under `plan` on both engines and asserts the same
-/// error comes back from each.
-fn assert_fault_agrees(plan: &FaultPlan, expected: &SimError) {
-    for shards in [1usize, 2, 3] {
-        let mut runner = RingRunner::new();
-        runner.shards(shards).fault_plan(plan.clone());
-        let err = runner.run(&FramedRelay { laps: 3 }, &word(6)).expect_err("fault must fire");
-        assert_eq!(&err, expected, "shards={shards}");
-    }
+/// Runs the relay under `plan` and returns the error the fault caused.
+fn run_faulted(plan: &FaultPlan) -> SimError {
+    let mut runner = RingRunner::new();
+    runner.fault_plan(plan.clone());
+    runner.run(&FramedRelay { laps: 3 }, &word(6)).expect_err("fault must fire")
 }
 
 // ---------------------------------------------------------------------------
@@ -137,16 +133,16 @@ fn illegal_send_is_reachable_by_injection() {
         1,
         FaultAction::InjectSend { direction: Direction::CounterClockwise, payload: frame(0) },
     );
-    assert_fault_agrees(
-        &plan,
-        &SimError::IllegalSend { position: 2, direction: Direction::CounterClockwise },
+    assert_eq!(
+        run_faulted(&plan),
+        SimError::IllegalSend { position: 2, direction: Direction::CounterClockwise }
     );
 }
 
 #[test]
 fn follower_decided_is_reachable_by_injection() {
     let plan = one_shot(3, 1, FaultAction::InjectDecide { accept: true });
-    assert_fault_agrees(&plan, &SimError::FollowerDecided { position: 3 });
+    assert_eq!(run_faulted(&plan), SimError::FollowerDecided { position: 3 });
 }
 
 #[test]
@@ -154,20 +150,17 @@ fn stalled_is_reachable_by_stalling_the_token() {
     // Swallow the only in-flight message: traffic dries up having
     // delivered exactly 2 messages (positions 1 and 2).
     let plan = one_shot(2, 1, FaultAction::Stall);
-    assert_fault_agrees(&plan, &SimError::Stalled { deliveries: 2 });
+    assert_eq!(run_faulted(&plan), SimError::Stalled { deliveries: 2 });
 }
 
 #[test]
 fn process_error_is_reachable_by_corruption() {
     // Zeroing the frame starves the Elias-delta reader at the receiver.
     let plan = one_shot(4, 1, FaultAction::Corrupt(Corruption::Zero));
-    let mut runner = RingRunner::new();
-    runner.fault_plan(plan.clone());
-    let err = runner.run(&FramedRelay { laps: 3 }, &word(6)).unwrap_err();
+    let err = run_faulted(&plan);
     let SimError::Process { position: 4, .. } = err else {
         panic!("expected a decode failure at position 4, got {err:?}");
     };
-    assert_fault_agrees(&plan, &err);
 }
 
 #[test]
@@ -181,37 +174,10 @@ fn event_limit_is_reachable_by_flooding() {
         recurring: true,
         action: FaultAction::InjectSend { direction: Direction::Clockwise, payload: frame(0) },
     });
-    for shards in [1usize, 2] {
-        let mut runner = RingRunner::new();
-        runner.shards(shards).fault_plan(plan.clone()).max_events(40);
-        let err = runner.run(&FramedRelay { laps: 100 }, &word(6)).unwrap_err();
-        assert_eq!(err, SimError::EventLimitExceeded { limit: 40 }, "shards={shards}");
-    }
-}
-
-#[test]
-fn shard_failed_is_reachable_by_killing_a_worker() {
-    // Kill the shard that owns position 4 (of 6, over 2 shards: shard 1
-    // owns 3..6). The worker exits silently before handling; the
-    // coordinator's next report wait observes the death, deterministically.
-    let plan = one_shot(4, 1, FaultAction::KillShard);
     let mut runner = RingRunner::new();
-    runner.shards(2).fault_plan(plan.clone());
-    let err = runner.run(&FramedRelay { laps: 3 }, &word(6)).unwrap_err();
-    assert_eq!(err, SimError::ShardFailed { shard: 1 });
-
-    // Same plan, more shards: 3 shards over 6 positions → position 4
-    // belongs to shard 2.
-    let mut runner = RingRunner::new();
-    runner.shards(3).fault_plan(plan.clone());
-    let err = runner.run(&FramedRelay { laps: 3 }, &word(6)).unwrap_err();
-    assert_eq!(err, SimError::ShardFailed { shard: 2 });
-
-    // The serial engine has no workers to kill: the action is a no-op
-    // there (documented), so the run completes.
-    let mut runner = RingRunner::new();
-    runner.fault_plan(plan);
-    assert!(runner.run(&FramedRelay { laps: 3 }, &word(6)).is_ok());
+    runner.fault_plan(plan).max_events(40);
+    let err = runner.run(&FramedRelay { laps: 100 }, &word(6)).unwrap_err();
+    assert_eq!(err, SimError::EventLimitExceeded { limit: 40 });
 }
 
 #[test]
@@ -236,13 +202,11 @@ fn delay_faults_do_not_change_observables() {
     let plan = one_shot(1, 1, FaultAction::Delay { micros: 500 });
     let proto = FramedRelay { laps: 2 };
     let clean = RingRunner::new().run(&proto, &word(5)).unwrap();
-    for shards in [1usize, 2] {
-        let mut runner = RingRunner::new();
-        runner.shards(shards).fault_plan(plan.clone());
-        let delayed = runner.run(&proto, &word(5)).unwrap();
-        assert_eq!(delayed.decision, clean.decision, "shards={shards}");
-        assert_eq!(delayed.stats, clean.stats, "shards={shards}");
-    }
+    let mut runner = RingRunner::new();
+    runner.fault_plan(plan);
+    let delayed = runner.run(&proto, &word(5)).unwrap();
+    assert_eq!(delayed.decision, clean.decision);
+    assert_eq!(delayed.stats, clean.stats);
 }
 
 #[test]
@@ -265,29 +229,22 @@ fn recurring_faults_fire_on_every_later_delivery() {
     // token never gets past it, whichever lap it is on.
     let mut plan = FaultPlan::new();
     plan.push(Fault { position: 1, delivery: 1, recurring: true, action: FaultAction::Stall });
-    for shards in [1usize, 2] {
-        let mut runner = RingRunner::new();
-        runner.shards(shards).fault_plan(plan.clone());
-        let err = runner.run(&FramedRelay { laps: 3 }, &word(6)).unwrap_err();
-        assert_eq!(err, SimError::Stalled { deliveries: 1 }, "shards={shards}");
-    }
+    assert_eq!(run_faulted(&plan), SimError::Stalled { deliveries: 1 });
 }
 
 #[test]
-fn scattered_plans_are_deterministic_across_engines() {
-    // A seeded scatter of one-shot truncations: both engines agree on
-    // the outcome, run after run.
+fn scattered_plans_are_deterministic_across_runs() {
+    // A seeded scatter of one-shot truncations: the outcome is the same
+    // run after run, on fresh runners.
     let plan = FaultPlan::scatter(0xFEED, 6, 12, 4);
     let proto = FramedRelay { laps: 4 };
     let mut serial = RingRunner::new();
     serial.fault_plan(plan.clone());
     let baseline = serial.run(&proto, &word(6));
     for _ in 0..3 {
-        for shards in [1usize, 2, 3] {
-            let mut runner = RingRunner::new();
-            runner.shards(shards).fault_plan(plan.clone());
-            assert_eq!(runner.run(&proto, &word(6)), baseline, "shards={shards}");
-        }
+        let mut runner = RingRunner::new();
+        runner.fault_plan(plan.clone());
+        assert_eq!(runner.run(&proto, &word(6)), baseline);
     }
 }
 

@@ -1,10 +1,10 @@
 //! Metrics-equivalence suite: attaching an enabled
 //! [`ringleader_obs::Metrics`] registry must never change a single
 //! observable byte — decision, every [`ExecStats`] field, and the full
-//! event trace — across the serial, sharded, and threaded engines,
+//! event trace — across the serial event loop and the threaded runner,
 //! every scheduling policy, and kill/resume splits. The registry itself
-//! must still fill with real telemetry: engine counters, epoch-length
-//! histograms, per-shard utilization, checkpoint timings.
+//! must still fill with real telemetry: engine counters and gauges,
+//! checkpoint timings.
 //!
 //! This is the load-bearing contract of the observability layer:
 //! telemetry is write-only from the engines' perspective (enforced
@@ -194,9 +194,9 @@ fn assert_outcomes_identical(a: &Outcome, b: &Outcome, label: &str) {
     assert_eq!(a.trace_ring, b.trace_ring, "{label}: trace ring");
 }
 
-fn runner(scheduler: &Scheduler, shards: usize, metrics: Option<Metrics>) -> RingRunner {
+fn runner(scheduler: &Scheduler, metrics: Option<Metrics>) -> RingRunner {
     let mut r = RingRunner::new();
-    r.scheduler(scheduler.clone()).record_trace(true).shards(shards);
+    r.scheduler(scheduler.clone()).record_trace(true);
     if let Some(m) = metrics {
         r.metrics(m);
     }
@@ -210,23 +210,22 @@ fn runner(scheduler: &Scheduler, shards: usize, metrics: Option<Metrics>) -> Rin
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Serial and sharded runs, every policy: an enabled registry must
-    /// not perturb decision, stats, or a single trace event.
+    /// Every policy: an enabled registry must not perturb decision,
+    /// stats, or a single trace event.
     #[test]
     fn metered_runs_are_byte_identical_to_unmetered(
         n in 2usize..20,
         burst in 1usize..4,
         laps in 1u64..4,
         scheduler_pick in 0usize..3,
-        shards in 1usize..5,
     ) {
         let proto = StatefulStorm { burst, laps };
         let w = word(n);
         let scheduler = schedulers()[scheduler_pick].clone();
-        let label = format!("{scheduler:?} n={n} shards={shards}");
-        let plain = runner(&scheduler, shards, None).run(&proto, &w).unwrap();
+        let label = format!("{scheduler:?} n={n}");
+        let plain = runner(&scheduler, None).run(&proto, &w).unwrap();
         let metrics = Metrics::enabled();
-        let metered = runner(&scheduler, shards, Some(metrics.clone())).run(&proto, &w).unwrap();
+        let metered = runner(&scheduler, Some(metrics.clone())).run(&proto, &w).unwrap();
         assert_outcomes_identical(&plain, &metered, &label);
         // And the registry really recorded the run it watched.
         let report = metrics.run_report();
@@ -249,14 +248,13 @@ proptest! {
         laps in 1u64..3,
         k in 0usize..60,
         scheduler_pick in 0usize..3,
-        shards in 1usize..4,
     ) {
         let proto = StatefulStorm { burst, laps };
         let w = word(n);
         let scheduler = schedulers()[scheduler_pick].clone();
-        let baseline = runner(&scheduler, shards, None).run(&proto, &w).unwrap();
+        let baseline = runner(&scheduler, None).run(&proto, &w).unwrap();
         let metrics = Metrics::enabled();
-        let metered = runner(&scheduler, shards, Some(metrics.clone()));
+        let metered = runner(&scheduler, Some(metrics.clone()));
         match metered.run_until(&proto, &w, k).expect("pause point is reachable") {
             RunPhase::Done(outcome) => assert_outcomes_identical(&outcome, &baseline, "done"),
             RunPhase::Paused(snap) => {
@@ -290,10 +288,10 @@ fn metered_threaded_runs_match_unmetered() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn sharded_run_report_carries_engine_and_shard_telemetry() {
+fn run_report_carries_engine_telemetry() {
     let metrics = Metrics::enabled();
     let proto = StatefulStorm { burst: 3, laps: 4 };
-    let out = runner(&Scheduler::Fifo, 4, Some(metrics.clone())).run(&proto, &word(64)).unwrap();
+    let out = runner(&Scheduler::Fifo, Some(metrics.clone())).run(&proto, &word(64)).unwrap();
     assert!(out.decision.unwrap_or(false));
 
     let report = metrics.run_report();
@@ -303,22 +301,20 @@ fn sharded_run_report_carries_engine_and_shard_telemetry() {
     assert_eq!(counter("engine.scheduler_picks"), out.stats.deliveries as u64);
     assert_eq!(counter("engine.messages"), out.stats.message_count as u64);
     assert_eq!(counter("engine.bits_sent"), out.stats.total_bits as u64);
-    assert!(counter("shard.epoch_grants") > 0, "{report:?}");
-    assert!(counter("shard.channel_ops") > 0, "{report:?}");
-    assert!(counter("pool.jobs") >= 4, "one pool job per shard worker: {report:?}");
+    assert_eq!(
+        report.gauges.get("engine.max_message_bits").copied(),
+        Some(out.stats.max_message_bits as u64)
+    );
 
-    // Epoch lengths land in the histogram; total observations equal the
-    // epoch count, and every epoch is traced here (record_trace(true)).
-    let epoch_hist = report.histograms.get("shard.epoch_len").expect("epoch histogram");
-    let observations: u64 = epoch_hist.iter().map(|b| b.count).sum();
-    assert_eq!(observations, counter("shard.epochs_traced") + counter("shard.epochs_aggregate"));
-    assert!(observations > 0);
-
-    // Every shard reports a utilization timeline with some busy time.
-    assert_eq!(report.shard_utilization.len(), 4, "{report:?}");
-    for shard in &report.shard_utilization {
-        assert!(shard.busy_ns > 0, "shard {} never went busy: {report:?}", shard.shard);
-    }
+    // A plain run records exactly the engine's flush, nothing else.
+    let counters: Vec<&str> = report.counters.keys().map(String::as_str).collect();
+    assert_eq!(
+        counters,
+        ["engine.bits_sent", "engine.deliveries", "engine.messages", "engine.scheduler_picks"]
+    );
+    let gauges: Vec<&str> = report.gauges.keys().map(String::as_str).collect();
+    assert_eq!(gauges, ["engine.bit_rounds", "engine.max_message_bits"]);
+    assert!(report.timings.is_empty(), "{report:?}");
 
     // The report round-trips through its JSON wire format.
     let parsed = RunReport::from_json(&report.to_json_pretty()).expect("round-trip");
@@ -326,29 +322,18 @@ fn sharded_run_report_carries_engine_and_shard_telemetry() {
 }
 
 #[test]
-fn serial_run_report_has_no_shard_telemetry() {
-    let metrics = Metrics::enabled();
-    let proto = StatefulStorm { burst: 2, laps: 2 };
-    let out = runner(&Scheduler::Fifo, 1, Some(metrics.clone())).run(&proto, &word(12)).unwrap();
-    let report = metrics.run_report();
-    assert_eq!(
-        report.counters.get("engine.deliveries").copied(),
-        Some(out.stats.deliveries as u64)
-    );
-    assert!(!report.counters.contains_key("shard.epoch_grants"), "{report:?}");
-    assert!(report.shard_utilization.is_empty(), "{report:?}");
-}
-
-#[test]
 fn one_registry_accumulates_across_runs_and_engines() {
     let metrics = Metrics::enabled();
     let proto = StatefulStorm { burst: 2, laps: 2 };
-    let first = runner(&Scheduler::Fifo, 1, Some(metrics.clone())).run(&proto, &word(8)).unwrap();
-    let second = runner(&Scheduler::Fifo, 2, Some(metrics.clone())).run(&proto, &word(8)).unwrap();
-    assert_eq!(first.stats, second.stats, "sharding never changes stats");
+    let first = runner(&Scheduler::Fifo, Some(metrics.clone())).run(&proto, &word(8)).unwrap();
+    let second = runner(&Scheduler::Fifo, Some(metrics.clone())).run(&proto, &word(12)).unwrap();
+    let mut threaded = ThreadedRunner::new();
+    threaded.metrics(metrics.clone());
+    let third = threaded.run(&OnePassToken, &word(5)).unwrap();
     assert_eq!(
         metrics.counter_value("engine.deliveries"),
         (first.stats.deliveries + second.stats.deliveries) as u64,
         "counters accumulate across runs sharing the registry"
     );
+    assert_eq!(metrics.counter_value("threaded.messages"), third.message_count as u64);
 }

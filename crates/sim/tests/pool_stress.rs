@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use ringleader_automata::{Alphabet, Symbol, Word};
 use ringleader_bitio::BitString;
-use ringleader_sim::pool::{ordered_map, ThreadPool};
+use ringleader_sim::pool::ordered_map;
 use ringleader_sim::{Context, Direction, Process, ProcessResult, Protocol, RingRunner, Topology};
 
 /// Minimal one-token protocol: leader sends one marked bit string around
@@ -77,27 +77,6 @@ fn soak_64_workers_sweep_500_points_without_losing_results() {
     assert_eq!(results, expected, "lost, duplicated, or reordered grid results");
 }
 
-/// Dropping a 64-worker pool with a long queue must drain and join
-/// without deadlock, and every queued job must have run by the time
-/// `drop` returns.
-#[test]
-#[ignore = "soak rig; run with --include-ignored"]
-fn soak_pool_drop_drains_and_joins_without_deadlock() {
-    let pool = ThreadPool::new(64);
-    let done = Arc::new(AtomicUsize::new(0));
-    for i in 0..500 {
-        let done = Arc::clone(&done);
-        pool.execute(move || {
-            let n = i % 13 + 1;
-            let outcome = RingRunner::new().run(&Loop, &ring(n)).unwrap();
-            assert_eq!(outcome.stats.total_bits, 4 * n);
-            done.fetch_add(1, Ordering::SeqCst);
-        });
-    }
-    drop(pool); // must not hang: disconnect → drain → join
-    assert_eq!(done.load(Ordering::SeqCst), 500);
-}
-
 /// A worker that panics mid-run must not deadlock the map or strand
 /// results: every non-panicking point still completes, the earliest
 /// panic (in grid order) reaches the caller, and the machinery shuts
@@ -127,17 +106,4 @@ fn soak_worker_panic_mid_run_shuts_down_cleanly() {
             "round {round}: panicking point must not strand other results"
         );
     }
-
-    // The long-lived pool survives panicking jobs outright.
-    let pool = ThreadPool::new(64);
-    let done = Arc::new(AtomicUsize::new(0));
-    for i in 0..500 {
-        let done = Arc::clone(&done);
-        pool.execute(move || {
-            assert!(i % 100 != 37, "every 100th-ish job blows up");
-            done.fetch_add(1, Ordering::SeqCst);
-        });
-    }
-    drop(pool);
-    assert_eq!(done.load(Ordering::SeqCst), 495, "5 panics, 495 completions");
 }
