@@ -1,15 +1,13 @@
 //! Crash-safe experiment driving: the [`RunLedger`].
 //!
-//! A massive `experiments` invocation is hours of compute across many
-//! specs; an interruption (OOM kill, pre-emption, ctrl-C) should not
-//! throw away the specs that already finished. The ledger is the
-//! analysis-layer half of the crash-safety story (the engine half is
-//! [`ringleader_sim::EngineSnapshot`]): after each spec completes, its
-//! full [`ExperimentResult`] is appended to a JSON ledger file on disk;
-//! a resumed invocation loads the ledger, skips every completed spec,
-//! and splices the stored results into the final envelope **in spec
-//! order** — so the resumed run's JSON output is byte-identical to what
-//! the uninterrupted run would have produced.
+//! An `experiments` invocation runs many specs; an interruption (OOM
+//! kill, pre-emption, ctrl-C) should not throw away the specs that
+//! already finished. The ledger is the crash-safety story: after each
+//! spec completes, its full [`ExperimentResult`] is appended to a JSON
+//! ledger file on disk; a resumed invocation loads the ledger, skips
+//! every completed spec, and splices the stored results into the final
+//! envelope **in spec order** — so the resumed run's JSON output is
+//! byte-identical to what the uninterrupted run would have produced.
 //!
 //! Writes are atomic (write to a sibling temp file, then rename), so a
 //! crash *during* a ledger write leaves the previous ledger intact

@@ -219,7 +219,6 @@ pub struct RunCtx<'a> {
     spec: &'a ExperimentSpec,
     exec: &'a dyn SweepExecutor,
     scale: Scale,
-    trace_ring: Option<usize>,
     metrics: Metrics,
 }
 
@@ -234,12 +233,6 @@ impl RunCtx<'_> {
     #[must_use]
     pub fn scale(&self) -> Scale {
         self.scale
-    }
-
-    /// Bounded-trace capacity per run, if requested (`--trace-ring`).
-    #[must_use]
-    pub fn trace_ring(&self) -> Option<usize> {
-        self.trace_ring
     }
 
     /// The metrics registry every run records into (`--metrics`). The
@@ -280,7 +273,6 @@ impl RunCtx<'_> {
         SweepConfig {
             sizes: grid.sizes.clone(),
             samples_per_size: grid.samples_per_size,
-            trace_ring: self.trace_ring,
             metrics: self.metrics.clone(),
             ..SweepConfig::default()
         }
@@ -526,21 +518,19 @@ impl ExperimentSpec {
     /// Runs the experiment with the given executor at the given scale.
     #[must_use]
     pub fn run(&self, exec: &dyn SweepExecutor, scale: Scale) -> ExperimentResult {
-        self.run_configured(exec, scale, None, Metrics::disabled())
+        self.run_configured(exec, scale, Metrics::disabled())
     }
 
-    /// Runs the experiment with the full engine configuration: an
-    /// optional bounded-trace capacity and a metrics registry forwarded
-    /// to every run. Neither knob changes any measurement.
+    /// Runs the experiment with a metrics registry forwarded to every
+    /// run. The registry never changes any measurement.
     #[must_use]
     pub fn run_configured(
         &self,
         exec: &dyn SweepExecutor,
         scale: Scale,
-        trace_ring: Option<usize>,
         metrics: Metrics,
     ) -> ExperimentResult {
-        let ctx = RunCtx { spec: self, exec, scale, trace_ring, metrics };
+        let ctx = RunCtx { spec: self, exec, scale, metrics };
         (self.run)(&ctx)
     }
 }
@@ -643,7 +633,6 @@ impl Registry {
 pub struct ExperimentHarness<'a> {
     exec: &'a dyn SweepExecutor,
     scale: Scale,
-    trace_ring: Option<usize>,
     metrics: Metrics,
 }
 
@@ -651,22 +640,13 @@ impl<'a> ExperimentHarness<'a> {
     /// A harness running on `exec` at `scale`.
     #[must_use]
     pub fn new(exec: &'a dyn SweepExecutor, scale: Scale) -> Self {
-        ExperimentHarness { exec, scale, trace_ring: None, metrics: Metrics::disabled() }
+        ExperimentHarness { exec, scale, metrics: Metrics::disabled() }
     }
 
     /// The harness's scale.
     #[must_use]
     pub fn scale(&self) -> Scale {
         self.scale
-    }
-
-    /// Bounds every run's trace to the last `capacity` events (a
-    /// [`TraceRing`](ringleader_sim::TraceRing)); `0` disables. Purely a
-    /// memory knob — measurements are unchanged.
-    #[must_use]
-    pub fn with_trace_ring(mut self, capacity: usize) -> Self {
-        self.trace_ring = (capacity > 0).then_some(capacity);
-        self
     }
 
     /// Records every run's telemetry into `metrics` (`--metrics`).
@@ -681,7 +661,7 @@ impl<'a> ExperimentHarness<'a> {
     /// Runs one spec.
     #[must_use]
     pub fn run(&self, spec: &ExperimentSpec) -> ExperimentResult {
-        spec.run_configured(self.exec, self.scale, self.trace_ring, self.metrics.clone())
+        spec.run_configured(self.exec, self.scale, self.metrics.clone())
     }
 
     /// Runs every spec of `registry` in presentation order.

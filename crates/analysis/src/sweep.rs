@@ -51,13 +51,6 @@ pub struct SweepConfig {
     pub known_ring_size: bool,
     /// Delivery schedule.
     pub scheduler: Scheduler,
-    /// Bounded tracing: keep the last `capacity` events of every run in a
-    /// [`TraceRing`](ringleader_sim::TraceRing) instead of no trace at
-    /// all. `None` (the default) traces nothing; sweeps only consume the
-    /// aggregate [`ExecStats`](ringleader_sim::ExecStats) either way, so
-    /// this never changes a measurement — it only bounds the memory a
-    /// post-mortem tail costs on `large`/`massive` runs.
-    pub trace_ring: Option<usize>,
     /// Metrics registry cloned into every grid point's runner. The
     /// default disabled handle records nothing; an enabled one
     /// accumulates engine telemetry across the whole sweep without
@@ -73,7 +66,6 @@ impl Default for SweepConfig {
             seed: 0xB17C0DE,
             known_ring_size: false,
             scheduler: Scheduler::Fifo,
-            trace_ring: None,
             metrics: Metrics::disabled(),
         }
     }
@@ -339,9 +331,6 @@ pub fn sweep_protocol_with(
         runner.known_ring_size(config.known_ring_size);
         runner.scheduler(config.scheduler.clone());
         runner.metrics(config.metrics.clone());
-        if let Some(capacity) = config.trace_ring {
-            runner.trace_ring(capacity);
-        }
         let outcome = runner.run(protocol, &word)?;
         assert_eq!(
             outcome.accepted(),

@@ -8,9 +8,7 @@
 //! experiments --json out.json       # also dump the versioned JSON envelope
 //! experiments --workers 8           # parallel sweeps on 8 threads
 //! experiments --workers 0           # one thread per CPU
-//! experiments --trace-ring 4096     # bound every run's trace to 4096 events
 //! experiments --checkpoint-dir ckpt # write a resume ledger after each spec
-//! experiments --checkpoint-every 2  # ...flushing every 2 completed specs
 //! experiments --resume ckpt/ledger-smoke.json   # skip completed specs
 //! experiments --halt-after 3        # stop (exit 2) after 3 fresh specs
 //! experiments --metrics run.json    # dump a versioned RunReport of telemetry
@@ -36,24 +34,23 @@
 //! # Crash safety
 //!
 //! `--checkpoint-dir D` appends every completed spec's full result to a
-//! [`RunLedger`] at `D/ledger-<scale>.json` (atomic temp-file + rename
-//! writes, flushed every `--checkpoint-every` completed specs). If the
+//! [`RunLedger`] at `D/ledger-<scale>.json`, rewritten after every
+//! freshly computed spec (atomic temp-file and rename writes). If the
 //! invocation dies — OOM kill, pre-emption, ctrl-C — rerunning with
 //! `--resume <ledger>` skips every completed spec and splices its stored
 //! result into the output *in spec order*: the resumed run's tables and
 //! JSON envelope are byte-identical to the uninterrupted run's.
 //! `--halt-after N` stops deterministically (exit code 2) after `N`
-//! freshly-computed specs — the hook CI uses to rehearse the kill-resume
-//! cycle without actual signal delivery. `--trace-ring N` bounds every
-//! run's trace to its last `N` events (O(N) memory at any scale).
+//! freshly-computed specs — the hook the tests and CI use to rehearse
+//! the kill-resume cycle without actual signal delivery.
 //!
 //! # Observability
 //!
 //! `--metrics <path>` attaches an enabled
 //! [`Metrics`](ringleader_obs::Metrics) registry to every run and dumps
 //! a versioned [`RunReport`](ringleader_obs::RunReport) JSON at the end:
-//! engine counters and gauges, checkpoint timings. `--progress` prints an elapsed-time heartbeat to
-//! stderr after each spec. Both are observability only — stdout tables
+//! engine counters and gauges. `--progress` prints an elapsed-time
+//! heartbeat to stderr after each spec. Both are observability only — stdout tables
 //! and the `--json` envelope are byte-identical with or without them.
 //!
 //! Exit code 0 iff every executed experiment's verdict is REPRODUCED;
@@ -75,8 +72,8 @@ use serde::Serialize;
 const SCHEMA_VERSION: u32 = 1;
 
 const KNOWN_FLAGS: &str = "--list, --scale <smoke|paper|large|massive>, --filter <substring>, \
-     --workers <n>, --trace-ring <n>, --json <path>, --checkpoint-dir <dir>, \
-     --checkpoint-every <n>, --resume <ledger>, --halt-after <n>, --metrics <path>, --progress";
+     --workers <n>, --json <path>, --checkpoint-dir <dir>, --resume <ledger>, \
+     --halt-after <n>, --metrics <path>, --progress";
 
 #[derive(Serialize)]
 struct EnvelopeEntry {
@@ -98,9 +95,7 @@ fn main() -> ExitCode {
 
     let mut json_path: Option<String> = None;
     let mut workers = 1usize;
-    let mut trace_ring: Option<usize> = None;
     let mut checkpoint_dir: Option<String> = None;
-    let mut checkpoint_every = 1usize;
     let mut resume_path: Option<String> = None;
     let mut halt_after: Option<usize> = None;
     let mut metrics_path: Option<String> = None;
@@ -127,24 +122,10 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--trace-ring" => match iter.next().as_deref().map(str::parse::<usize>) {
-                Some(Ok(n)) if n >= 1 => trace_ring = Some(n),
-                _ => {
-                    eprintln!("--trace-ring requires an event capacity of at least 1");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--checkpoint-dir" => match iter.next() {
                 Some(dir) => checkpoint_dir = Some(dir),
                 None => {
                     eprintln!("--checkpoint-dir requires a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--checkpoint-every" => match iter.next().as_deref().map(str::parse::<usize>) {
-                Some(Ok(n)) if n >= 1 => checkpoint_every = n,
-                _ => {
-                    eprintln!("--checkpoint-every requires a spec count of at least 1");
                     return ExitCode::FAILURE;
                 }
             },
@@ -268,45 +249,6 @@ fn main() -> ExitCode {
         }
     }
 
-    // Non-fatal cadence check: BENCH_0005.json's ≤5% checkpoint-overhead
-    // bound holds when at least ~50n deliveries separate snapshots. A
-    // run of size n delivers at least n messages, so a spec's cheapest
-    // delivery estimate is Σ sizes × samples; warn when the thinnest
-    // `--checkpoint-every`-spec window of this selection lands under the
-    // budget at the selection's largest ring. A cadence of one flush per
-    // whole invocation has no interior snapshot to amortize, so it is
-    // exempt.
-    if ledger_path.is_some() && checkpoint_every < selected.len() {
-        let spec_deliveries: Vec<usize> = selected
-            .iter()
-            .map(|s| {
-                let g = s.grid(scale);
-                g.sizes.iter().map(|&n| n * g.samples_per_size).sum()
-            })
-            .collect();
-        let max_n =
-            selected.iter().flat_map(|s| s.grid(scale).sizes.iter().copied()).max().unwrap_or(0);
-        let min_window: usize =
-            spec_deliveries.windows(checkpoint_every).map(|w| w.iter().sum()).min().unwrap_or(0);
-        let budget = 50 * max_n;
-        if min_window < budget {
-            eprintln!(
-                "warning: --checkpoint-every {checkpoint_every} flushes the ledger about every \
-                 ~{min_window} deliveries at the cheapest point of this selection, below the \
-                 ~50n budget (~{budget} at n = {max_n}) where BENCH_0005.json shows checkpoint \
-                 overhead exceeding 5%; consider a larger --checkpoint-every"
-            );
-        }
-    }
-    let flush = |ledger: &RunLedger| -> Result<(), ExitCode> {
-        if let Some(path) = &ledger_path {
-            if let Err(e) = ledger.save(path) {
-                eprintln!("failed writing ledger {}: {e}", path.display());
-                return Err(ExitCode::FAILURE);
-            }
-        }
-        Ok(())
-    };
     let write_metrics = |metrics: &Metrics| -> Result<(), ExitCode> {
         if let Some(path) = &metrics_path {
             if let Err(e) = metrics.write_report(Path::new(path)) {
@@ -324,10 +266,7 @@ fn main() -> ExitCode {
     // registry is enabled, disabled, or absent.
     let metrics = if metrics_path.is_some() { Metrics::enabled() } else { Metrics::disabled() };
     let progress = Progress::new(progress_flag);
-    let mut harness = ExperimentHarness::new(exec.as_ref(), scale).with_metrics(metrics.clone());
-    if let Some(capacity) = trace_ring {
-        harness = harness.with_trace_ring(capacity);
-    }
+    let harness = ExperimentHarness::new(exec.as_ref(), scale).with_metrics(metrics.clone());
 
     // Run in spec order, skipping anything the ledger already holds; the
     // splice keeps tables and envelope byte-identical to an
@@ -345,17 +284,13 @@ fn main() -> ExitCode {
         results.push(result);
         fresh += 1;
         progress.tick(&format!("{} done ({fresh} fresh)", spec.id()));
-        if fresh % checkpoint_every == 0 {
-            if let Err(code) = flush(&ledger) {
-                return code;
+        if let Some(path) = &ledger_path {
+            if let Err(e) = ledger.save(path) {
+                eprintln!("failed writing ledger {}: {e}", path.display());
+                return ExitCode::FAILURE;
             }
         }
         if halt_after == Some(fresh) {
-            // Always flush at the halt point, whatever the cadence: the
-            // whole point is that this exact state is resumable.
-            if let Err(code) = flush(&ledger) {
-                return code;
-            }
             match &ledger_path {
                 Some(path) => eprintln!(
                     "halted after {fresh} fresh experiment(s); resume with --resume {}",
@@ -368,11 +303,6 @@ fn main() -> ExitCode {
                 return code;
             }
             return ExitCode::from(2);
-        }
-    }
-    if fresh % checkpoint_every != 0 {
-        if let Err(code) = flush(&ledger) {
-            return code;
         }
     }
 

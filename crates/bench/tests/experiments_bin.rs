@@ -59,30 +59,61 @@ fn scale_flag_is_validated() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
-/// `--checkpoint-every` below the ~50n-deliveries budget from
-/// BENCH_0005.json draws a non-fatal stderr warning; a cadence of one
-/// flush per invocation stays quiet.
+/// The CLI's crash safety end to end: a run halted after two fresh
+/// specs leaves a ledger, resuming that ledger writes the uninterrupted
+/// run's `--json` envelope byte for byte, and a ledger only resumes a
+/// run at its own scale.
 #[test]
-fn tight_checkpoint_cadence_warns() {
-    let dir = std::env::temp_dir().join(format!("ringleader_ckpt_warn_{}", std::process::id()));
+fn halted_run_resumes_to_the_uninterrupted_envelope() {
+    let dir = std::env::temp_dir().join(format!("ringleader_kill_resume_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let selection = ["e7", "e10", "a2", "--scale", "smoke"];
+
+    let uninterrupted = dir.join("uninterrupted.json");
     let out = experiments()
-        .args(["e7", "e10", "--scale", "smoke", "--checkpoint-every", "1", "--checkpoint-dir"])
-        .arg(&dir)
+        .args(selection)
+        .arg("--json")
+        .arg(&uninterrupted)
         .output()
         .expect("binary runs");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "stderr: {err}");
-    assert!(err.contains("warning: --checkpoint-every 1"), "stderr: {err}");
-    assert!(err.contains("BENCH_0005.json"), "stderr: {err}");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
     let out = experiments()
-        .args(["e7", "e10", "--scale", "smoke", "--checkpoint-every", "2", "--checkpoint-dir"])
+        .args(selection)
+        .arg("--checkpoint-dir")
         .arg(&dir)
+        .args(["--halt-after", "2"])
         .output()
         .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let ledger = dir.join("ledger-smoke.json");
+    let resumed = dir.join("resumed.json");
+    let out = experiments()
+        .args(selection)
+        .arg("--resume")
+        .arg(&ledger)
+        .arg("--json")
+        .arg(&resumed)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("2 experiment(s) already complete"), "stdout: {stdout}");
+    assert_eq!(
+        std::fs::read(&resumed).expect("resumed JSON written"),
+        std::fs::read(&uninterrupted).expect("uninterrupted JSON written"),
+        "the resumed envelope must be byte-identical to the uninterrupted one"
+    );
+
+    let out = experiments()
+        .args(["e7", "e10", "a2", "--scale", "paper", "--resume"])
+        .arg(&ledger)
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "stderr: {err}");
-    assert!(!err.contains("warning:"), "one flush per invocation must not warn: {err}");
+    assert!(err.contains("is a smoke ledger"), "stderr: {err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

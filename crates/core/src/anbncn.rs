@@ -170,20 +170,6 @@ impl Process for LeaderProcess {
         ctx.decide(accept);
         Ok(())
     }
-
-    // All state rides on the wire token; a process holds only its
-    // construction parameters, so the checkpoint payload is empty.
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> ProcessResult {
-        if bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(ProcessError::InvalidState("three-counters saves no process state".into()))
-        }
-    }
 }
 
 struct FollowerProcess {
@@ -195,18 +181,6 @@ impl Process for FollowerProcess {
         let token = Token::decode(msg)?.absorb(self.input);
         ctx.send(Direction::Clockwise, token.encode());
         Ok(())
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> ProcessResult {
-        if bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(ProcessError::InvalidState("three-counters saves no process state".into()))
-        }
     }
 }
 

@@ -11,9 +11,7 @@ use std::sync::Arc;
 use ringleader_automata::{Dfa, StateId, Symbol};
 use ringleader_bitio::{bits_for, BitReader, BitString, BitWriter};
 use ringleader_langs::DfaLanguage;
-use ringleader_sim::{
-    Context, Direction, Process, ProcessError, ProcessResult, Protocol, Topology,
-};
+use ringleader_sim::{Context, Direction, Process, ProcessResult, Protocol, Topology};
 
 /// The Theorem 1 protocol: unidirectional, one pass, `⌈log |Q|⌉` bits per
 /// message.
@@ -130,20 +128,6 @@ impl Process for LeaderProcess {
         ctx.decide(self.proto.dfa.is_accepting(qn));
         Ok(())
     }
-
-    // The pass state travels in the message; processes hold only their
-    // construction parameters, so the checkpoint payload is empty.
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> ProcessResult {
-        if bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(ProcessError::InvalidState("dfa-one-pass saves no process state".into()))
-        }
-    }
 }
 
 struct FollowerProcess {
@@ -157,18 +141,6 @@ impl Process for FollowerProcess {
         let next = self.proto.dfa.step(q, self.input);
         ctx.send(Direction::Clockwise, self.proto.encode(next));
         Ok(())
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> ProcessResult {
-        if bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(ProcessError::InvalidState("dfa-one-pass saves no process state".into()))
-        }
     }
 }
 

@@ -24,9 +24,7 @@
 use ringleader_automata::Symbol;
 use ringleader_bitio::{BitReader, BitString, BitWriter};
 use ringleader_langs::TradeoffLanguage;
-use ringleader_sim::{
-    Context, Direction, Process, ProcessError, ProcessResult, Protocol, Topology,
-};
+use ringleader_sim::{Context, Direction, Process, ProcessResult, Protocol, Topology};
 
 /// The stateless replica of [`TwoPassParity`](crate::TwoPassParity)
 /// (Theorem 3 Stage 1 construction).
@@ -182,20 +180,6 @@ impl Process for LeaderProcess {
         }
         Ok(())
     }
-
-    // Statelessness is the construction's whole point (Theorem 3 Stage
-    // 1): there is nothing to checkpoint beyond construction parameters.
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> ProcessResult {
-        if bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(ProcessError::InvalidState("stateless-two-pass saves no process state".into()))
-        }
-    }
 }
 
 struct StatelessFollower {
@@ -219,18 +203,6 @@ impl Process for StatelessFollower {
         };
         ctx.send(Direction::Clockwise, out.encode(self.k));
         Ok(())
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> ProcessResult {
-        if bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(ProcessError::InvalidState("stateless-two-pass saves no process state".into()))
-        }
     }
 }
 

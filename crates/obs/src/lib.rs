@@ -25,14 +25,14 @@
 //! for tests, this crate, and report export. A run with metrics
 //! enabled must therefore be byte-identical to the same run with
 //! metrics disabled — the sim test suite pins exactly that across
-//! engines, schedulers, and kill/resume splits.
+//! engines and schedulers.
 //!
 //! # RunReport
 //!
 //! [`RunReport`] is the versioned JSON export written by
 //! `experiments --metrics <path>`: schema changes bump
 //! [`REPORT_VERSION`] and [`RunReport::from_json`] rejects reports
-//! written by a different version, mirroring the engine snapshot gate.
+//! written by a different version.
 
 #![warn(missing_docs)]
 
@@ -253,7 +253,7 @@ impl RunReport {
     }
 
     /// Parse a report, rejecting schema versions this build does not
-    /// read — the same loud-failure gate as the engine snapshot.
+    /// read, so a foreign report fails loudly instead of misparsing.
     pub fn from_json(text: &str) -> Result<RunReport, ReportError> {
         let report: RunReport = serde_json::from_str(text)
             .map_err(|e| ReportError { reason: format!("unparsable run report: {e:?}") })?;
@@ -303,7 +303,7 @@ mod tests {
         assert!(!m.is_enabled());
         m.counter_add("engine.deliveries", 5);
         m.gauge_max("engine.bit_rounds", 9);
-        drop(m.start_timer("checkpoint.capture"));
+        drop(m.start_timer("spec.run"));
         assert_eq!(m.counter_value("engine.deliveries"), 0);
         assert_eq!(m.gauge_value("engine.bit_rounds"), 0);
         let report = m.run_report();
@@ -327,10 +327,10 @@ mod tests {
     #[test]
     fn timers_fold_into_summaries() {
         let m = Metrics::enabled();
-        drop(m.start_timer("checkpoint.capture"));
-        drop(m.start_timer("checkpoint.capture"));
+        drop(m.start_timer("spec.run"));
+        drop(m.start_timer("spec.run"));
         let report = m.run_report();
-        let summary = &report.timings["checkpoint.capture"];
+        let summary = &report.timings["spec.run"];
         assert_eq!(summary.count, 2);
         assert!(summary.max_ns <= summary.total_ns);
     }
@@ -341,7 +341,7 @@ mod tests {
         m.counter_add("engine.deliveries", 4096);
         m.counter_add("engine.messages", 9);
         m.gauge_max("engine.max_message_bits", 13);
-        drop(m.start_timer("checkpoint.capture"));
+        drop(m.start_timer("spec.run"));
         let report = m.run_report();
         let text = report.to_json_pretty();
         let back = RunReport::from_json(&text).expect("round trip");

@@ -180,36 +180,6 @@ pub trait Process: Send {
         message: &BitString,
         ctx: &mut Context,
     ) -> ProcessResult;
-
-    /// Serializes this process's mutable state for a checkpoint, or `None`
-    /// if the protocol does not support checkpointing.
-    ///
-    /// Only state that changes across events belongs here; construction
-    /// parameters (the input letter, protocol configuration) are rebuilt
-    /// from the [`Protocol`] factories on restore. A process whose entire
-    /// state is its construction parameters returns `Some(Vec::new())`.
-    ///
-    /// The default returns `None`, which makes
-    /// [`RingRunner::run_until`](crate::RingRunner::run_until) fail with
-    /// [`SimError::Snapshot`](crate::SimError::Snapshot) — protocols opt
-    /// in to crash safety explicitly.
-    fn save_state(&self) -> Option<Vec<u8>> {
-        None
-    }
-
-    /// Restores state previously produced by
-    /// [`save_state`](Process::save_state) into a freshly constructed
-    /// process.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProcessError::InvalidState`] when the bytes do not match
-    /// what this protocol saves (the default, for protocols that never
-    /// save).
-    fn load_state(&mut self, bytes: &[u8]) -> ProcessResult {
-        let _ = bytes;
-        Err(ProcessError::InvalidState("protocol does not support checkpoint restore".into()))
-    }
 }
 
 /// A distributed algorithm: factories for the leader and follower

@@ -4,11 +4,10 @@ use ringleader_automata::Word;
 use ringleader_bitio::BitString;
 use ringleader_obs::Metrics;
 
-use crate::checkpoint::{EngineSnapshot, RunPhase, SNAPSHOT_VERSION};
 use crate::context::{Context, Process, Protocol};
 use crate::faults::FaultPlan;
 use crate::sched::LinkIndex;
-use crate::trace::{EventKind, Trace, TraceEvent, TraceRing, TraceSink};
+use crate::trace::{EventKind, Trace, TraceEvent};
 use crate::{Direction, ExecStats, Scheduler, SimError, Topology};
 
 /// Result of a completed run.
@@ -21,8 +20,6 @@ pub struct Outcome {
     pub stats: ExecStats,
     /// Full event trace, when [`RingRunner::record_trace`] was enabled.
     pub trace: Option<Trace>,
-    /// Bounded trace, when [`RingRunner::trace_ring`] was enabled.
-    pub trace_ring: Option<TraceRing>,
 }
 
 impl Outcome {
@@ -47,7 +44,6 @@ impl Outcome {
 pub struct RingRunner {
     scheduler: Scheduler,
     record_trace: bool,
-    trace_ring: Option<usize>,
     known_ring_size: bool,
     max_events: usize,
     fault_plan: Option<FaultPlan>,
@@ -68,7 +64,6 @@ impl RingRunner {
         Self {
             scheduler: Scheduler::Fifo,
             record_trace: false,
-            trace_ring: None,
             known_ring_size: false,
             max_events: 50_000_000,
             fault_plan: None,
@@ -76,8 +71,8 @@ impl RingRunner {
         }
     }
 
-    /// Attaches a metrics handle: run-level counters, gauges, and timings
-    /// flow into it (see the crate docs' Observability section).
+    /// Attaches a metrics handle: run-level counters and gauges flow into
+    /// it (see the crate docs' Observability section).
     /// The default disabled handle costs nothing; either way the run's
     /// observables are byte-identical — metrics read state, never feed
     /// it, and the equivalence suite pins exactly that.
@@ -96,20 +91,6 @@ impl RingRunner {
     /// extraction and token-discipline validation).
     pub fn record_trace(&mut self, on: bool) -> &mut Self {
         self.record_trace = on;
-        self
-    }
-
-    /// Enables bounded tracing: keep only the last `capacity` events in a
-    /// [`TraceRing`] (plus streamed per-interval stats), the O(capacity)
-    /// alternative to [`record_trace`](RingRunner::record_trace) for
-    /// `large`/`massive` runs. `0` disables the ring.
-    ///
-    /// Like full tracing, ring tracing makes deliveries consume sequence
-    /// numbers, so a ring-traced run is event-for-event comparable to a
-    /// fully-traced one (and differs in seq numbering from an untraced
-    /// one, exactly as full tracing always has).
-    pub fn trace_ring(&mut self, capacity: usize) -> &mut Self {
-        self.trace_ring = (capacity > 0).then_some(capacity);
         self
     }
 
@@ -147,84 +128,9 @@ impl RingRunner {
     /// * [`SimError::Stalled`] if traffic dries up without a decision.
     /// * [`SimError::EventLimitExceeded`] if the budget is exhausted.
     pub fn run(&self, protocol: &dyn Protocol, word: &Word) -> Result<Outcome, SimError> {
-        finished(self.execute(protocol, word, None, None)?)
-    }
-
-    /// Runs until `events` deliveries have occurred, then pauses and
-    /// captures an [`EngineSnapshot`] — or completes first.
-    ///
-    /// The pause point is a delivery boundary: the snapshot is taken
-    /// before the `events + 1`-th delivery.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`run`](RingRunner::run) returns, plus
-    /// [`SimError::Snapshot`] if the protocol does not implement
-    /// [`Process::save_state`] or the engine cannot capture (the threaded
-    /// runner never can).
-    pub fn run_until(
-        &self,
-        protocol: &dyn Protocol,
-        word: &Word,
-        events: usize,
-    ) -> Result<RunPhase, SimError> {
-        self.execute(protocol, word, None, Some(events))
-    }
-
-    /// Resumes a paused run from `snapshot` and drives it to completion.
-    ///
-    /// `protocol` and `word` must be the ones the snapshot was captured
-    /// from (process state is rebuilt by constructing fresh processes and
-    /// feeding them [`Process::load_state`]). The snapshot carries the
-    /// run's configuration; of this runner's settings only the fault plan
-    /// and the metrics handle apply.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`run`](RingRunner::run) returns, plus
-    /// [`SimError::Snapshot`] on a version or ring-size mismatch, or on a
-    /// snapshot whose vectors or link seqs are malformed.
-    pub fn resume(
-        &self,
-        protocol: &dyn Protocol,
-        word: &Word,
-        snapshot: &EngineSnapshot,
-    ) -> Result<Outcome, SimError> {
-        finished(self.execute(protocol, word, Some(snapshot), None)?)
-    }
-
-    /// Resumes from `snapshot` and pauses again after a total of `events`
-    /// deliveries (counted from the run's start, not from the snapshot).
-    ///
-    /// # Errors
-    ///
-    /// As [`resume`](RingRunner::resume) and
-    /// [`run_until`](RingRunner::run_until).
-    pub fn resume_until(
-        &self,
-        protocol: &dyn Protocol,
-        word: &Word,
-        snapshot: &EngineSnapshot,
-        events: usize,
-    ) -> Result<RunPhase, SimError> {
-        self.execute(protocol, word, Some(snapshot), Some(events))
-    }
-
-    /// Shared entry point: the event loop, with an optional snapshot to
-    /// resume from and an optional pause point.
-    fn execute(
-        &self,
-        protocol: &dyn Protocol,
-        word: &Word,
-        resume: Option<&EngineSnapshot>,
-        pause_at: Option<usize>,
-    ) -> Result<RunPhase, SimError> {
         let n = word.len();
         if n == 0 {
             return Err(SimError::EmptyRing);
-        }
-        if let Some(snap) = resume {
-            snap.validate(n)?;
         }
         let topology = protocol.topology();
         let mut processes: Vec<Box<dyn Process>> = Vec::with_capacity(n);
@@ -232,107 +138,33 @@ impl RingRunner {
             processes.push(if i == 0 { protocol.leader(sym) } else { protocol.follower(sym) });
         }
 
-        // A resumed run takes its configuration from the snapshot so it
-        // reproduces the interrupted run regardless of this runner's own
-        // settings; only the fault plan is re-supplied by the caller.
-        let (scheduler, known_ring_size, max_events) = match resume {
-            Some(snap) => (snap.scheduler.clone(), snap.known_ring_size, snap.max_events),
-            None => (self.scheduler.clone(), self.known_ring_size, self.max_events),
-        };
-
-        let mut links = Links::new(n, scheduler.build_index(2 * n));
-        let mut stats;
-        let mut sink;
-        let mut seq: u64;
-        let mut deliveries: usize;
-        // Per-receiver delivery counts: the coordinates fault plans key on
-        // and part of every snapshot. Kept only when something can read
-        // them — a fault plan, a pause point, or a resumed snapshot.
-        let mut position_deliveries: Option<Vec<u64>>;
-        let known = known_ring_size.then_some(n);
+        let mut links = Links::new(n, self.scheduler.build_index(2 * n));
+        let mut stats = ExecStats::new(n);
+        let mut trace = self.record_trace.then(Trace::default);
+        let mut seq: u64 = 0;
+        let mut deliveries: usize = 0;
+        let fault_plan = self.fault_plan.as_ref();
+        // Per-receiver delivery counts: the coordinates fault plans key on.
+        // Kept only when a fault plan is installed.
+        let mut position_deliveries = fault_plan.map(|_| vec![0u64; n]);
 
         // One context for the whole run; reset per event so the outbox
         // buffer's allocation is reused across deliveries.
-        let mut ctx = Context::new(true, known);
+        let mut ctx = Context::new(true, self.known_ring_size.then_some(n));
 
-        if let Some(snap) = resume {
-            let _restore_timer = self.metrics.start_timer("checkpoint.restore");
-            for (i, bytes) in snap.processes.iter().enumerate() {
-                processes[i]
-                    .load_state(bytes)
-                    .map_err(|source| SimError::Process { position: i, source })?;
-            }
-            // Replaying each queue front-to-back rebuilds the scheduler
-            // index exactly: per-link seqs are increasing, so the FIFO
-            // heap, the backlog buckets, and the Fenwick occupancy all
-            // land in the state the interrupted run had.
-            for (link, queue) in snap.links.iter().enumerate() {
-                for (s, payload) in queue {
-                    links.push(link, *s, payload.clone());
-                }
-            }
-            if let Some(state) = &snap.rng {
-                links.index.import_rng(state);
-            }
-            stats = snap.stats.clone();
-            sink = TraceSink { trace: snap.trace.clone(), ring: snap.ring.clone() };
-            seq = snap.seq;
-            deliveries = snap.deliveries;
-            position_deliveries = Some(snap.position_deliveries.clone());
-        } else {
-            stats = ExecStats::new(n);
-            sink = TraceSink::new(self.record_trace, self.trace_ring);
-            seq = 0;
-            deliveries = 0;
-            position_deliveries =
-                (self.fault_plan.is_some() || pause_at.is_some()).then(|| vec![0; n]);
+        // Start the leader.
+        processes[0]
+            .on_start(&mut ctx)
+            .map_err(|source| SimError::Process { position: 0, source })?;
+        let mut decision =
+            apply_effects(&mut ctx, 0, n, topology, &mut links, &mut stats, &mut trace, &mut seq)?;
 
-            // Start the leader.
-            processes[0]
-                .on_start(&mut ctx)
-                .map_err(|source| SimError::Process { position: 0, source })?;
-            let decision = apply_effects(
-                &mut ctx, 0, n, topology, &mut links, &mut stats, &mut sink, &mut seq,
-            )?;
-            if let Some(d) = decision {
-                stats.deliveries = deliveries;
-                flush_engine_metrics(&self.metrics, &stats, sink.ring.as_ref());
-                return Ok(RunPhase::Done(Outcome {
-                    decision: Some(d),
-                    stats,
-                    trace: sink.trace,
-                    trace_ring: sink.ring,
-                }));
-            }
-        }
-
-        let fault_plan = self.fault_plan.as_ref();
-
-        loop {
-            if let Some(k) = pause_at {
-                if deliveries >= k {
-                    let _capture_timer = self.metrics.start_timer("checkpoint.capture");
-                    let snap = capture(
-                        n,
-                        &scheduler,
-                        known_ring_size,
-                        max_events,
-                        seq,
-                        deliveries,
-                        position_deliveries.as_deref().expect("a pausable run counts deliveries"),
-                        &stats,
-                        &links,
-                        &processes,
-                        &sink,
-                    )?;
-                    return Ok(RunPhase::Paused(Box::new(snap)));
-                }
-            }
+        while decision.is_none() {
             let Some(link) = links.choose() else {
                 return Err(SimError::Stalled { deliveries });
             };
-            if deliveries >= max_events {
-                return Err(SimError::EventLimitExceeded { limit: max_events });
+            if deliveries >= self.max_events {
+                return Err(SimError::EventLimitExceeded { limit: self.max_events });
             }
             let mut payload = links.pop(link);
             deliveries += 1;
@@ -357,8 +189,8 @@ impl RingRunner {
                 }
             }
 
-            if sink.active() {
-                sink.push(TraceEvent {
+            if let Some(t) = &mut trace {
+                t.push(TraceEvent {
                     seq,
                     kind: EventKind::Deliver,
                     position: receiver,
@@ -384,29 +216,23 @@ impl RingRunner {
                     ctx.decide(accept);
                 }
             }
-            let decision = apply_effects(
-                &mut ctx, receiver, n, topology, &mut links, &mut stats, &mut sink, &mut seq,
+            decision = apply_effects(
+                &mut ctx, receiver, n, topology, &mut links, &mut stats, &mut trace, &mut seq,
             )?;
-            if let Some(d) = decision {
-                stats.deliveries = deliveries;
-                flush_engine_metrics(&self.metrics, &stats, sink.ring.as_ref());
-                return Ok(RunPhase::Done(Outcome {
-                    decision: Some(d),
-                    stats,
-                    trace: sink.trace,
-                    trace_ring: sink.ring,
-                }));
-            }
         }
+
+        stats.deliveries = deliveries;
+        flush_engine_metrics(&self.metrics, &stats);
+        Ok(Outcome { decision, stats, trace })
     }
 }
 
 /// Folds a completed run's already-computed totals into the metrics
-/// registry — one call at the `Done` boundary, zero hot-loop cost.
+/// registry — one call when the leader decides, zero hot-loop cost.
 /// Scheduler picks equal deliveries on the event engine (every pick
 /// delivers exactly one message); bit-rounds is the max over per-link
 /// bit totals, the unit of the Θ(D + log n) bound in PAPERS.md.
-fn flush_engine_metrics(metrics: &Metrics, stats: &ExecStats, ring: Option<&TraceRing>) {
+fn flush_engine_metrics(metrics: &Metrics, stats: &ExecStats) {
     if !metrics.is_enabled() {
         return;
     }
@@ -423,66 +249,6 @@ fn flush_engine_metrics(metrics: &Metrics, stats: &ExecStats, ring: Option<&Trac
         .max()
         .unwrap_or(0);
     metrics.gauge_max("engine.bit_rounds", bit_rounds as u64);
-    if let Some(ring) = ring {
-        metrics.counter_add("trace.ring_drops", ring.dropped());
-    }
-}
-
-/// Unwraps a [`RunPhase`] that cannot be `Paused` (no pause point given).
-fn finished(phase: RunPhase) -> Result<Outcome, SimError> {
-    match phase {
-        RunPhase::Done(outcome) => Ok(outcome),
-        RunPhase::Paused(_) => {
-            Err(SimError::Snapshot { reason: "engine paused without a pause point".into() })
-        }
-    }
-}
-
-/// Captures the engine's complete state at a delivery boundary.
-#[allow(clippy::too_many_arguments)]
-fn capture(
-    n: usize,
-    scheduler: &Scheduler,
-    known_ring_size: bool,
-    max_events: usize,
-    seq: u64,
-    deliveries: usize,
-    position_deliveries: &[u64],
-    stats: &ExecStats,
-    links: &Links,
-    processes: &[Box<dyn Process>],
-    sink: &TraceSink,
-) -> Result<EngineSnapshot, SimError> {
-    let mut proc_states = Vec::with_capacity(n);
-    for (i, p) in processes.iter().enumerate() {
-        match p.save_state() {
-            Some(bytes) => proc_states.push(bytes),
-            None => {
-                return Err(SimError::Snapshot {
-                    reason: format!(
-                        "protocol does not implement save_state (processor {i}); \
-                         checkpointing requires opt-in"
-                    ),
-                });
-            }
-        }
-    }
-    Ok(EngineSnapshot {
-        version: SNAPSHOT_VERSION,
-        n,
-        scheduler: scheduler.clone(),
-        known_ring_size,
-        max_events,
-        seq,
-        deliveries,
-        position_deliveries: position_deliveries.to_vec(),
-        stats: stats.clone(),
-        links: (0..links.head.len()).map(|link| links.queue_contents(link)).collect(),
-        rng: links.index.export_rng(),
-        processes: proc_states,
-        trace: sink.trace.clone(),
-        ring: sink.ring.clone(),
-    })
 }
 
 /// The link queues plus the scheduler's incrementally maintained view of
@@ -624,7 +390,8 @@ impl Links {
         payload
     }
 
-    /// Front-to-back contents of `link`, for checkpoint capture.
+    /// Front-to-back contents of `link`, for the reference-model test.
+    #[cfg(test)]
     fn queue_contents(&self, link: usize) -> Vec<(u64, BitString)> {
         let mut out = Vec::new();
         let mut slot = self.head[link];
@@ -647,7 +414,7 @@ fn apply_effects(
     topology: Topology,
     links: &mut Links,
     stats: &mut ExecStats,
-    sink: &mut TraceSink,
+    trace: &mut Option<Trace>,
     seq: &mut u64,
 ) -> Result<Option<bool>, SimError> {
     let decision = ctx.take_decision();
@@ -659,8 +426,8 @@ fn apply_effects(
             return Err(SimError::IllegalSend { position, direction });
         }
         stats.record_send(position, direction, payload.len());
-        if sink.active() {
-            sink.push(TraceEvent {
+        if let Some(t) = trace {
+            t.push(TraceEvent {
                 seq: *seq,
                 kind: EventKind::Send,
                 position,

@@ -45,11 +45,6 @@ pub enum SimError {
         /// The underlying failure.
         source: ProcessError,
     },
-    /// A checkpoint could not be captured or restored.
-    Snapshot {
-        /// What went wrong (unsupported protocol, version mismatch, ...).
-        reason: String,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -73,9 +68,6 @@ impl fmt::Display for SimError {
             }
             SimError::Process { position, source } => {
                 write!(f, "processor {position} failed: {source}")
-            }
-            SimError::Snapshot { reason } => {
-                write!(f, "checkpoint failed: {reason}")
             }
         }
     }
@@ -102,8 +94,6 @@ mod tests {
         assert!(e.to_string().contains("17"));
         let e = SimError::EventLimitExceeded { limit: 9 };
         assert!(e.to_string().contains('9'));
-        let e = SimError::Snapshot { reason: "protocol lacks save_state".into() };
-        assert!(e.to_string().contains("lacks save_state"));
     }
 
     #[test]

@@ -218,7 +218,7 @@ pub(crate) struct DeliveryFault {
 ///
 /// `#[doc(hidden)]` like [`crate::sched::testkit`]: test-support
 /// surface, not part of the supported API. Prefer [`FaultPlan`] — it is
-/// engine-applied, position-exact, and checkpointable; the adapter
+/// engine-applied and position-exact; the adapter
 /// survives for tests of the wrapping technique itself (the Theorem 5
 /// cut-link transformation uses the same detached-context pattern).
 #[doc(hidden)]

@@ -36,37 +36,15 @@
 //!   the asynchronous model, used to cross-check that the event loop
 //!   didn't bake in a scheduling assumption.
 //!
-//! # Crash safety & faults
+//! # Faults
 //!
-//! Massive runs checkpoint, crash, and resume; faults are injected from
-//! a first-class plan rather than ad-hoc test adapters.
-//!
-//! * **Snapshot points.** [`RingRunner::run_until`] pauses at a delivery
-//!   boundary and captures an [`EngineSnapshot`] — process state (via
-//!   [`Process::save_state`], an explicit protocol opt-in), every link
-//!   queue with its sequence numbers, the scheduler RNG, stats, trace or
-//!   trace ring, and the seq/delivery clocks. [`RingRunner::resume`]
-//!   rebuilds the engine and finishes the run **byte-identically** —
-//!   trace, stats, and exact error positions — to an uninterrupted run.
-//! * **Threaded restore.** The threaded runner *resumes* snapshots
-//!   ([`ThreadedRunner::resume`] preloads the channels and skips the
-//!   leader start) but cannot *capture* them: with one OS thread per
-//!   processor there is no well-defined "event k" to quiesce at, so
-//!   capture requests fail with [`SimError::Snapshot`].
-//! * **Fault plans.** A [`FaultPlan`] ([`RingRunner::fault_plan`]) is a
-//!   deterministic schedule of injections keyed on (position,
-//!   per-position delivery count): corrupt/stall/inject-send/
-//!   inject-decide/delay. Every [`SimError`] variant is reachable on
-//!   demand — see the `faults` module docs. Only [`RingRunner`] applies
-//!   plans; [`ThreadedRunner`] has no fault-plan hook. Plans are not
-//!   serialized into snapshots; the caller re-supplies them on resume
-//!   and the snapshot's per-position delivery counters keep triggers
-//!   aligned.
-//! * **Bounded traces.** [`RingRunner::trace_ring`] records the last
-//!   `capacity` events in a [`TraceRing`] with streamed per-interval
-//!   stats ([`IntervalStats`]) — O(capacity) memory at any run length,
-//!   the observability story for `massive` scales where a full [`Trace`]
-//!   is untenable.
+//! Faults are injected from a first-class plan rather than ad-hoc test
+//! adapters. A [`FaultPlan`] ([`RingRunner::fault_plan`]) is a
+//! deterministic schedule of injections keyed on (position,
+//! per-position delivery count): corrupt/stall/inject-send/
+//! inject-decide/delay. Every [`SimError`] variant is reachable on
+//! demand — see the `faults` module docs. Only [`RingRunner`] applies
+//! plans; [`ThreadedRunner`] has no fault-plan hook.
 //!
 //! # Observability
 //!
@@ -77,24 +55,20 @@
 //! disabled and costs nothing — every record call is an inlined no-op
 //! on a `None`.
 //!
-//! * **Engine counters** flush *once*, at the run's `Done` boundary,
-//!   from totals the run already computed (`engine.deliveries`,
-//!   `engine.scheduler_picks`, `engine.messages`, `engine.bits_sent`,
-//!   the `engine.max_message_bits` / `engine.bit_rounds` gauges,
-//!   `trace.ring_drops`) — zero hot-loop cost.
-//! * **Checkpoint timers** (`checkpoint.capture` / `checkpoint.restore`)
-//!   wrap the snapshot cycle.
+//! Engine counters flush *once*, when the leader decides, from totals
+//! the run already computed (`engine.deliveries`,
+//! `engine.scheduler_picks`, `engine.messages`, `engine.bits_sent`, and
+//! the `engine.max_message_bits` / `engine.bit_rounds` gauges) — zero
+//! hot-loop cost.
 //!
 //! The load-bearing contract: **metrics read state, they never feed
 //! it**. Monotonic wall time lives only inside `ringleader_obs` (the
 //! detlint `wallclock-in-sim` carve-out is granted to that one crate by
-//! its `Policy:` header); sim code holds opaque [`ringleader_obs::Timer`]
-//! handles and never sees a time value, and detlint's `obs-boundary`
-//! rule bans reading metric values back in result-affecting crates. A
-//! metrics-enabled run is therefore **byte-identical** — outcome,
-//! stats, trace, error positions — to the same run with metrics
-//! disabled, across engines × schedulers × kill/resume cycles, pinned
-//! by `tests/metrics_equiv.rs`.
+//! its `Policy:` header), and detlint's `obs-boundary` rule bans reading
+//! metric values back in result-affecting crates. A metrics-enabled run
+//! is therefore **byte-identical** — outcome, stats, trace, error
+//! positions — to the same run with metrics disabled, across engines
+//! and schedulers, pinned by `tests/metrics_equiv.rs`.
 //!
 //! # Examples
 //!
@@ -149,7 +123,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod checkpoint;
 mod context;
 mod engine;
 mod error;
@@ -161,7 +134,6 @@ mod threaded;
 mod token;
 mod trace;
 
-pub use checkpoint::{EngineSnapshot, RunPhase, SNAPSHOT_VERSION};
 pub use context::{Context, Process, ProcessError, ProcessResult, Protocol};
 pub use engine::{Outcome, RingRunner};
 pub use error::SimError;
@@ -174,9 +146,7 @@ pub use sched::{testkit as sched_testkit, LinkIndex};
 pub use stats::ExecStats;
 pub use threaded::ThreadedRunner;
 pub use token::{token_violations, validate_token_discipline};
-pub use trace::{
-    EventKind, InfoState, InfoStateEntry, IntervalStats, Trace, TraceEvent, TraceRing,
-};
+pub use trace::{EventKind, InfoState, InfoStateEntry, Trace, TraceEvent};
 
 use serde::{Deserialize, Serialize};
 

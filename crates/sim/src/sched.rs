@@ -128,21 +128,6 @@ pub trait LinkIndex {
     /// equivalence suite asserts this stays O(log n) per event where the
     /// historical scan cost O(n).
     fn index_ops(&self) -> u64;
-
-    /// Exports the policy's RNG state for a checkpoint; `None` for
-    /// deterministic policies with no RNG. The occupancy structure itself
-    /// is *not* exported — restore rebuilds it by replaying the link
-    /// queues — but RNG state cannot be replayed without re-running the
-    /// whole prefix, so it travels in the snapshot.
-    fn export_rng(&self) -> Option<Vec<u64>> {
-        None
-    }
-
-    /// Restores RNG state exported by [`export_rng`](LinkIndex::export_rng).
-    /// A no-op for policies without RNG.
-    fn import_rng(&mut self, state: &[u64]) {
-        let _ = state;
-    }
 }
 
 /// FIFO policy: a min-heap of `(head_seq, link)` with one entry per
@@ -335,18 +320,6 @@ impl LinkIndex for RandomIndex {
 
     fn index_ops(&self) -> u64 {
         self.ops
-    }
-
-    fn export_rng(&self) -> Option<Vec<u64>> {
-        Some(self.rng.state().to_vec())
-    }
-
-    fn import_rng(&mut self, state: &[u64]) {
-        let mut s = [0u64; 4];
-        for (slot, word) in s.iter_mut().zip(state) {
-            *slot = *word;
-        }
-        self.rng = StdRng::from_state(s);
     }
 }
 
@@ -545,33 +518,6 @@ mod tests {
         for _ in 0..50 {
             assert_eq!(fast.choose(), slow.choose());
         }
-    }
-
-    #[test]
-    fn rng_export_import_resumes_the_pick_stream() {
-        let scheduler = Scheduler::Random { seed: 77 };
-        let heads = [(0usize, 0u64, 1usize), (1, 1, 1), (2, 2, 1), (3, 3, 1)];
-        let (mut idx, _) = index_with(&scheduler, 4, &heads);
-        for _ in 0..13 {
-            idx.choose();
-        }
-        let state = idx.export_rng().expect("random policy exports RNG state");
-        let tail: Vec<usize> = (0..40).map(|_| idx.choose()).collect();
-        // A fresh index with the same occupancy but imported RNG continues
-        // the original stream exactly.
-        let (mut resumed, _) = index_with(&scheduler, 4, &heads);
-        resumed.import_rng(&state);
-        let replay: Vec<usize> = (0..40).map(|_| resumed.choose()).collect();
-        assert_eq!(tail, replay);
-    }
-
-    #[test]
-    fn deterministic_policies_export_no_rng() {
-        let (idx, _) = index_with(&Scheduler::Fifo, 2, &[(0, 0, 1)]);
-        assert!(idx.export_rng().is_none());
-        let (mut idx, _) = index_with(&Scheduler::LongestQueue, 2, &[(0, 0, 1)]);
-        idx.import_rng(&[1, 2, 3, 4]); // no-op, must not panic
-        assert!(idx.export_rng().is_none());
     }
 
     #[test]

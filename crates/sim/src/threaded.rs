@@ -37,7 +37,6 @@ use ringleader_obs::Metrics;
 use ringleader_automata::Word;
 use ringleader_bitio::BitString;
 
-use crate::checkpoint::EngineSnapshot;
 use crate::context::{Context, Process, Protocol};
 use crate::{Direction, SimError, Topology};
 
@@ -121,47 +120,9 @@ impl ThreadedRunner {
     ///   [`SimError::Process`] on protocol bugs.
     /// * [`SimError::Stalled`] if the watchdog fires before a decision.
     pub fn run(&self, protocol: &dyn Protocol, word: &Word) -> Result<ThreadedOutcome, SimError> {
-        self.launch(protocol, word, None)
-    }
-
-    /// Resumes an [`EngineSnapshot`] captured by the event loop on
-    /// real threads: processes are restored via
-    /// [`Process::load_state`](crate::Process::load_state), the
-    /// snapshot's in-flight messages are preloaded onto the channels,
-    /// the bit/message counters continue from the snapshot's totals, and
-    /// the leader start is skipped. The observables (decision,
-    /// `total_bits`, `message_count`) match an uninterrupted run.
-    ///
-    /// The converse — *capturing* a snapshot from a threaded run — is
-    /// unsupported: with one OS thread per processor there is no
-    /// well-defined "event k" to quiesce at.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`ThreadedRunner::run`] can raise, plus
-    /// [`SimError::Snapshot`] for an incompatible snapshot and
-    /// [`SimError::Process`] if a process rejects its saved state.
-    pub fn resume(
-        &self,
-        protocol: &dyn Protocol,
-        word: &Word,
-        snapshot: &EngineSnapshot,
-    ) -> Result<ThreadedOutcome, SimError> {
-        self.launch(protocol, word, Some(snapshot))
-    }
-
-    fn launch(
-        &self,
-        protocol: &dyn Protocol,
-        word: &Word,
-        resume: Option<&EngineSnapshot>,
-    ) -> Result<ThreadedOutcome, SimError> {
         let n = word.len();
         if n == 0 {
             return Err(SimError::EmptyRing);
-        }
-        if let Some(snap) = resume {
-            snap.validate(n)?;
         }
         let topology = protocol.topology();
 
@@ -180,28 +141,8 @@ impl ThreadedRunner {
             ccw_rx.push(rx);
         }
 
-        // Preload the snapshot's in-flight messages in queue order:
-        // clockwise link `l` is channel `cw[l]`, counter-clockwise link
-        // `n + i` feeds processor `i` on `ccw[i]`. Continue the counters
-        // from the snapshot so the final totals cover the whole run.
-        if let Some(snap) = resume {
-            for (l, queue) in snap.links.iter().take(n).enumerate() {
-                for (_, payload) in queue {
-                    let _ = cw_tx[l].send(Envelope::Data(Direction::Clockwise, payload.clone()));
-                }
-            }
-            for (i, queue) in snap.links.iter().skip(n).enumerate() {
-                for (_, payload) in queue {
-                    let _ = ccw_tx[i]
-                        .send(Envelope::Data(Direction::CounterClockwise, payload.clone()));
-                }
-            }
-        }
-
-        let resumed_stats = resume.map(|s| &s.stats);
-        let total_bits = Arc::new(AtomicUsize::new(resumed_stats.map_or(0, |s| s.total_bits)));
-        let message_count =
-            Arc::new(AtomicUsize::new(resumed_stats.map_or(0, |s| s.message_count)));
+        let total_bits = Arc::new(AtomicUsize::new(0));
+        let message_count = Arc::new(AtomicUsize::new(0));
         let failure: Arc<Mutex<Option<SimError>>> = Arc::new(Mutex::new(None));
         let (decision_tx, decision_rx) = unbounded::<bool>();
 
@@ -212,22 +153,16 @@ impl ThreadedRunner {
         let (shutdown_tx, shutdown_rx) = unbounded::<()>();
         let shutdown: Arc<Mutex<Option<Sender<()>>>> = Arc::new(Mutex::new(Some(shutdown_tx)));
 
-        let known = resume.map_or(self.known_ring_size, |s| s.known_ring_size).then_some(n);
+        let known = self.known_ring_size.then_some(n);
         let mut handles = Vec::with_capacity(n);
         for i in 0..n {
-            let mut process = if i == 0 {
+            let process = if i == 0 {
                 protocol.leader(word.get(0).expect("non-empty word"))
             } else {
                 protocol.follower(word.get(i).expect("index < n"))
             };
-            if let Some(snap) = resume {
-                process
-                    .load_state(&snap.processes[i])
-                    .map_err(|source| SimError::Process { position: i, source })?;
-            }
             let worker = Worker {
                 position: i,
-                start_leader: resume.is_none(),
                 n,
                 topology,
                 known,
@@ -289,9 +224,6 @@ impl ThreadedRunner {
 
 struct Worker {
     position: usize,
-    /// Run the leader's `on_start` — false when resuming a snapshot
-    /// (the interrupted run already started it).
-    start_leader: bool,
     n: usize,
     topology: Topology,
     known: Option<usize>,
@@ -310,7 +242,7 @@ struct Worker {
 
 impl Worker {
     fn run(mut self) {
-        if self.position == 0 && self.start_leader {
+        if self.position == 0 {
             let mut ctx = Context::new(true, self.known);
             if let Err(source) = self.process.on_start(&mut ctx) {
                 self.fail(SimError::Process { position: 0, source });

@@ -55,28 +55,12 @@ impl Process for RelayLeader {
         }
         Ok(())
     }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
-    }
-
-    fn load_state(&mut self, _bytes: &[u8]) -> ProcessResult {
-        Ok(())
-    }
 }
 
 impl Process for RelayFollower {
     fn on_message(&mut self, _d: Direction, msg: &BitString, ctx: &mut Context) -> ProcessResult {
         let lap = unframe(msg)?;
         ctx.send(Direction::Clockwise, frame(lap));
-        Ok(())
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
-    }
-
-    fn load_state(&mut self, _bytes: &[u8]) -> ProcessResult {
         Ok(())
     }
 }
@@ -178,19 +162,6 @@ fn event_limit_is_reachable_by_flooding() {
     runner.fault_plan(plan).max_events(40);
     let err = runner.run(&FramedRelay { laps: 100 }, &word(6)).unwrap_err();
     assert_eq!(err, SimError::EventLimitExceeded { limit: 40 });
-}
-
-#[test]
-fn snapshot_error_is_reachable_by_a_mismatched_restore() {
-    let runner = RingRunner::new();
-    let snap = runner
-        .run_until(&FramedRelay { laps: 3 }, &word(6), 4)
-        .unwrap()
-        .snapshot()
-        .expect("three laps outlast four deliveries");
-    // Resuming on the wrong ring size is refused.
-    let err = runner.resume(&FramedRelay { laps: 3 }, &word(7), &snap).unwrap_err();
-    assert!(matches!(err, SimError::Snapshot { .. }), "{err:?}");
 }
 
 // ---------------------------------------------------------------------------
