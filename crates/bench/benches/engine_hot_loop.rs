@@ -22,6 +22,11 @@
 //! * `trace` — the one-pass workload at n = 4096, untraced vs fully
 //!   traced: prices the full event [`Trace`](ringleader_sim::Trace).
 //!
+//! One group prices a layer below the engine:
+//!
+//! * `bitstring` — the [`BitString`] copies the quadratic tiers make on
+//!   every hop, at the payload sizes `wide_payload` sends.
+//!
 //! Run with `CRITERION_SNAPSHOT=out.jsonl` to dump machine-readable
 //! measurements; `BENCH_0003.json` in the repo root is the checked-in
 //! trajectory for the event loop (pre- and post-incremental-index).
@@ -31,6 +36,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ringleader_automata::Word;
+use ringleader_bitio::BitString;
 use ringleader_core::{BidirMeetInMiddle, DfaOnePass, StatelessTwoPass};
 use ringleader_langs::{DfaLanguage, Language};
 use ringleader_sim::RingRunner;
@@ -148,12 +154,43 @@ fn bench_trace(c: &mut Criterion) {
     group.finish();
 }
 
+/// `BitString` copy kernels at 1 536 and 2 048 bits (the `L_g` windows
+/// of `wide_payload`) and 49 152 bits (its widest collect-all message):
+/// an append onto an empty string (a forwarded collect-all prefix), an
+/// append behind three header bits (a `wcw` prefix or `L_g` window being
+/// re-encoded), and `slice(1..m)` (the window dropping its oldest letter).
+fn bench_bitstring(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine_hot_loop/bitstring");
+    for bits in [1536usize, 2048, 49_152] {
+        let payload = BitString::from_bits((0..bits).map(|i| i % 3 == 0));
+        group.bench_with_input(BenchmarkId::new("extend_aligned", bits), &payload, |b, p| {
+            b.iter(|| {
+                let mut s = BitString::new();
+                s.extend_from(criterion::black_box(p));
+                s
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("extend_unaligned", bits), &payload, |b, p| {
+            b.iter(|| {
+                let mut s = BitString::from_bits([true, false, true]);
+                s.extend_from(criterion::black_box(p));
+                s
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("slice", bits), &payload, |b, p| {
+            b.iter(|| criterion::black_box(p).slice(1..bits));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     engine_hot_loop,
     bench_one_pass,
     bench_bidir_collision,
     bench_quadratic_stateless,
     bench_metered,
-    bench_trace
+    bench_trace,
+    bench_bitstring
 );
 criterion_main!(engine_hot_loop);

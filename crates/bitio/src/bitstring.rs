@@ -7,12 +7,17 @@ use serde::{Content, Deserialize, Error as SerdeError, Serialize};
 /// Payloads of at most this many bytes are stored inline, with no heap
 /// allocation. 23 bytes = 184 bits covers every O(log n)-bit message the
 /// protocol suite sends (an Elias-delta counter for n = 2⁶⁴ is 77 bits);
-/// only history-carrying payloads (collect-all, stateless replay, wcw
-/// prefixes) spill to the heap.
+/// only the Θ(n)-bit payloads of the quadratic tiers (collect-all
+/// histories, `wcw` prefixes, `L_g` windows) spill to the heap.
 const INLINE_BYTES: usize = 23;
 
 /// The inline capacity in bits: 184.
 const INLINE_BITS: usize = INLINE_BYTES * 8;
+
+/// Spare heap capacity, one word, reserved past the bytes a heap string
+/// is built for: the few bits usually appended next (a letter, a trailing
+/// counter) then fit without reallocating and copying the payload again.
+const SPARE_BYTES: usize = 8;
 
 /// The backing store: a fixed inline buffer or a heap vector.
 ///
@@ -88,7 +93,7 @@ impl BitString {
         if bits <= INLINE_BITS {
             Self::default()
         } else {
-            Self { repr: Repr::Heap(Vec::with_capacity(bits.div_ceil(8))), len: 0 }
+            Self { repr: Repr::Heap(Vec::with_capacity(bits.div_ceil(8) + SPARE_BYTES)), len: 0 }
         }
     }
 
@@ -181,8 +186,9 @@ impl BitString {
     fn spill(&mut self, extra_bits: usize) {
         if let Repr::Inline(buf) = self.repr {
             let nbytes = self.len.div_ceil(8);
-            let mut v =
-                Vec::with_capacity((self.len + extra_bits).div_ceil(8).max(2 * INLINE_BYTES));
+            let mut v = Vec::with_capacity(
+                (self.len + extra_bits).div_ceil(8).max(2 * INLINE_BYTES) + SPARE_BYTES,
+            );
             v.extend_from_slice(&buf[..nbytes]);
             self.repr = Repr::Heap(v);
         }
@@ -238,8 +244,9 @@ impl BitString {
 
     /// Appends all bits of `other` after the bits of `self`.
     ///
-    /// Byte-aligned appends (the common case: concatenating whole
-    /// messages) are bulk byte copies.
+    /// Copies whole bytes at every alignment: a byte-aligned append is one
+    /// bulk copy, and an unaligned one shifts each source byte into place,
+    /// so the cost is `O(other.len() / 8)`, not one step per bit.
     ///
     /// # Examples
     ///
@@ -251,17 +258,34 @@ impl BitString {
     /// assert_eq!(a.to_string(), "10011");
     /// ```
     pub fn extend_from(&mut self, other: &BitString) {
-        if self.len % 8 == 0 {
-            let src = other.as_bytes();
-            let start = self.len / 8;
-            self.grow_bytes(start + src.len());
-            self.data_mut()[start..start + src.len()].copy_from_slice(src);
-            self.len += other.len;
-        } else {
-            for bit in other.iter() {
-                self.push(bit);
-            }
+        let src = other.as_bytes();
+        if src.is_empty() {
+            return;
         }
+        let start = self.len / 8;
+        let shift = self.len % 8;
+        let len = self.len + other.len;
+        let nbytes = len.div_ceil(8);
+        if shift == 0 {
+            if nbytes > INLINE_BYTES {
+                self.spill(other.len);
+            }
+            match &mut self.repr {
+                Repr::Inline(buf) => buf[start..nbytes].copy_from_slice(src),
+                // Appending to the heap vector copies once, with no zero-fill.
+                Repr::Heap(v) => v.extend_from_slice(src),
+            }
+        } else {
+            self.grow_bytes(nbytes);
+            let dst = &mut self.data_mut()[start..nbytes];
+            // Byte `start` already holds `shift` bits; each later byte takes
+            // the high bits of one source byte and the low bits of the next.
+            // Source bits past `other.len` are zero, so nothing stray lands
+            // past the new end.
+            dst[0] |= src[0] << shift;
+            shift_down(&mut dst[1..], src, 8 - shift);
+        }
+        self.len = len;
     }
 
     /// Returns a new string holding bits `range.start..range.end`.
@@ -286,11 +310,7 @@ impl BitString {
         if shift == 0 {
             dst[..nbytes].copy_from_slice(&src[first..first + nbytes]);
         } else {
-            for (i, d) in dst[..nbytes].iter_mut().enumerate() {
-                let lo = src[first + i] >> shift;
-                let hi = src.get(first + i + 1).map_or(0, |b| b << (8 - shift));
-                *d = lo | hi;
-            }
+            shift_down(&mut dst[..nbytes], &src[first..], shift);
         }
         // Zero the copied-in bits past the logical end (repr invariant).
         let rem = len % 8;
@@ -310,6 +330,23 @@ impl BitString {
     #[must_use]
     pub fn count_ones(&self) -> usize {
         self.as_bytes().iter().map(|b| b.count_ones() as usize).sum()
+    }
+}
+
+/// Fills `dst` with the bytes of `src` read `r` bits (1 to 7) in: byte `i`
+/// takes the high `8 - r` bits of `src[i]` and the low `r` bits of
+/// `src[i + 1]`, or zeros past the end of `src`. `dst` is at most as long
+/// as `src`. Each byte depends only on two source bytes, so the loop
+/// vectorizes.
+fn shift_down(dst: &mut [u8], src: &[u8], r: usize) {
+    debug_assert!((1..8).contains(&r) && dst.len() <= src.len());
+    for (d, pair) in dst.iter_mut().zip(src.windows(2)) {
+        *d = (pair[0] >> r) | (pair[1] << (8 - r));
+    }
+    if dst.len() == src.len() {
+        if let (Some(d), Some(s)) = (dst.last_mut(), src.last()) {
+            *d = s >> r;
+        }
     }
 }
 

@@ -21,6 +21,68 @@ fn boundary_bits() -> impl Strategy<Value = Vec<bool>> {
         .prop_flat_map(|len| proptest::collection::vec(any::<bool>(), len..=len))
 }
 
+/// One step of a copy chain. Appended fragments are drawn from `seed`,
+/// so a failing case prints a few numbers rather than thousands of bits.
+#[derive(Debug, Clone)]
+enum Step {
+    Push(bool),
+    /// Append `len` bits that start `offset` bits into a seeded string,
+    /// so the source is itself a shifted slice.
+    Extend {
+        len: usize,
+        offset: usize,
+        seed: u64,
+    },
+    /// Replace the string by `start..start + len`, clamped to its length.
+    Slice {
+        start: usize,
+        len: usize,
+    },
+}
+
+/// Fragment lengths: a few bits, the inline boundary, or up to 3000.
+fn fragment_len() -> impl Strategy<Value = usize> {
+    prop_oneof![0usize..16, INLINE_BITS - 16..INLINE_BITS + 16, 0usize..3001]
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        any::<bool>().prop_map(Step::Push),
+        (fragment_len(), 0usize..8, any::<u64>()).prop_map(|(len, offset, seed)| Step::Extend {
+            len,
+            offset,
+            seed
+        }),
+        (0usize..3001, fragment_len()).prop_map(|(start, len)| Step::Slice { start, len }),
+    ]
+}
+
+/// `len` pseudo-random bits from a splitmix64 stream.
+fn seeded_bits(seed: u64, len: usize) -> Vec<bool> {
+    let mut state = seed;
+    let mut word = 0u64;
+    (0..len)
+        .map(|i| {
+            if i % 64 == 0 {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                word = z ^ (z >> 31);
+            }
+            (word >> (i % 64)) & 1 == 1
+        })
+        .collect()
+}
+
+/// `bits` packed eight to a byte, least-significant bit first, with the
+/// unused high bits of the last byte zero.
+fn packed(bits: &[bool]) -> Vec<u8> {
+    bits.chunks(8)
+        .map(|chunk| chunk.iter().enumerate().fold(0u8, |byte, (i, &b)| byte | (u8::from(b) << i)))
+        .collect()
+}
+
 /// Reference JSON for the historical `{bytes: Vec<u8>, len: usize}`
 /// struct — the wire format both representations must produce.
 fn reference_json(s: &BitString) -> String {
@@ -125,6 +187,45 @@ proptest! {
             BitString::from_bits(head.iter().chain(tail.iter()).copied());
         prop_assert_eq!(&fast, &reference);
         prop_assert_eq!(fast.len(), head.len() + tail.len());
+    }
+
+    #[test]
+    fn copy_chains_match_a_bool_vector(
+        align in 0usize..8,
+        steps in proptest::collection::vec(step(), 1..12),
+    ) {
+        // Chains of appends and slices at every destination alignment, on
+        // both sides of the inline boundary. After every step the packed
+        // bytes must equal the reference's, zero tail included; a bit left
+        // stray past the end would surface at a later push.
+        let mut s = BitString::new();
+        let mut reference = Vec::new();
+        for i in 0..align {
+            s.push(i % 3 == 0);
+            reference.push(i % 3 == 0);
+        }
+        for (i, step) in steps.iter().enumerate() {
+            match *step {
+                Step::Push(bit) => {
+                    s.push(bit);
+                    reference.push(bit);
+                }
+                Step::Extend { len, offset, seed } => {
+                    let bits = seeded_bits(seed, offset + len);
+                    let source = BitString::from_bits(bits.iter().copied());
+                    s.extend_from(&source.slice(offset..offset + len));
+                    reference.extend_from_slice(&bits[offset..]);
+                }
+                Step::Slice { start, len } => {
+                    let start = start % (reference.len() + 1);
+                    let end = (start + len).min(reference.len());
+                    s = s.slice(start..end);
+                    reference = reference[start..end].to_vec();
+                }
+            }
+            prop_assert_eq!(s.len(), reference.len(), "length after step {}", i);
+            prop_assert_eq!(s.as_bytes().to_vec(), packed(&reference), "bits after step {}", i);
+        }
     }
 
     #[test]

@@ -77,8 +77,8 @@ struct WindowToken {
     /// Letters absorbed so far / check limit — present only for the
     /// literal (free-tail) language.
     pos_limit: Option<(u64, u64)>,
-    /// The last `min(pos, m)` letters (a=false, b=true), oldest first.
-    window: Vec<bool>,
+    /// The last `min(pos, m)` letters (a=0, b=1), oldest first.
+    window: BitString,
 }
 
 impl WindowToken {
@@ -93,9 +93,7 @@ impl WindowToken {
         }
         w.write_elias_delta(self.m);
         w.write_elias_delta(self.window.len() as u64 + 1);
-        for &b in &self.window {
-            w.write_bit(b);
-        }
+        w.write_bitstring(&self.window);
         w.finish()
     }
 
@@ -111,10 +109,7 @@ impl WindowToken {
         };
         let m = r.read_elias_delta()?;
         let len = r.read_elias_delta()? - 1;
-        let mut window = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            window.push(r.read_bit()?);
-        }
+        let window = r.read_bitstring(len as usize)?;
         Ok(Self { valid, m, pos_limit, window })
     }
 
@@ -122,14 +117,15 @@ impl WindowToken {
     fn absorb(mut self, letter: bool) -> Self {
         let m = self.m as usize;
         if self.window.len() == m {
-            let front = self.window.remove(0);
+            let front = self.window.get(0);
+            self.window = self.window.slice(1..m);
             let check_active = match self.pos_limit {
                 // Literal L_g: only positions pos < limit are constrained.
                 Some((pos, limit)) => pos < limit,
                 // Fully periodic: every position with a full window.
                 None => true,
             };
-            if check_active && front != letter {
+            if check_active && front != Some(letter) {
                 self.valid = false;
             }
         }
@@ -186,7 +182,7 @@ impl LeaderProcess {
             m: m as u64,
             // limit = last constrained position + m = checked + m.
             pos_limit: (!self.language.has_periodic_tail()).then(|| (0, (checked + m) as u64)),
-            window: Vec::new(),
+            window: BitString::new(),
         }
         .absorb(self.input.index() == 1);
         ctx.send(Direction::Clockwise, token.encode());
@@ -373,6 +369,122 @@ mod tests {
         let m = lang.period(n);
         // window m bits + tag/valid/flag + delta(m) + delta(len+1): small.
         assert!(outcome.stats.max_message_bits <= m + 20, "{}", outcome.stats.max_message_bits);
+    }
+
+    /// The window token kept as a `Vec<bool>` and written one bit at a
+    /// time, independent of `BitString`'s bulk copies: the reference the
+    /// wire format is pinned to.
+    struct ReferenceWindow {
+        valid: bool,
+        m: u64,
+        pos_limit: Option<(u64, u64)>,
+        window: Vec<bool>,
+    }
+
+    impl ReferenceWindow {
+        fn encode(&self) -> BitString {
+            let mut w = BitWriter::new();
+            w.write_bit(TAG_WINDOW);
+            w.write_bit(self.valid);
+            w.write_bit(self.pos_limit.is_some());
+            if let Some((pos, limit)) = self.pos_limit {
+                w.write_elias_delta(pos + 1);
+                w.write_elias_delta(limit + 1);
+            }
+            w.write_elias_delta(self.m);
+            w.write_elias_delta(self.window.len() as u64 + 1);
+            for &b in &self.window {
+                w.write_bit(b);
+            }
+            w.finish()
+        }
+
+        fn absorb(&mut self, letter: bool) {
+            if self.window.len() == self.m as usize {
+                let front = self.window.remove(0);
+                let check_active = match self.pos_limit {
+                    Some((pos, limit)) => pos < limit,
+                    None => true,
+                };
+                if check_active && front != letter {
+                    self.valid = false;
+                }
+            }
+            self.window.push(letter);
+            if let Some((pos, limit)) = self.pos_limit {
+                self.pos_limit = Some((pos + 1, limit));
+            }
+        }
+    }
+
+    /// The payloads the per-bit reference sends on `w`, in ring order.
+    fn reference_sends(lang: &LgLanguage, w: &Word, known_n: bool) -> Vec<BitString> {
+        let n = w.len();
+        let mut sends = Vec::new();
+        if !known_n {
+            for count in 1..=n as u64 {
+                let mut c = BitWriter::new();
+                c.write_bit(TAG_COUNT).write_elias_delta(count);
+                sends.push(c.finish());
+            }
+        }
+        let m = lang.period(n);
+        if n < m {
+            return sends;
+        }
+        let checked = if lang.has_periodic_tail() { n - m } else { (n / m - 1) * m };
+        if checked == 0 {
+            return sends;
+        }
+        let mut token = ReferenceWindow {
+            valid: true,
+            m: m as u64,
+            pos_limit: (!lang.has_periodic_tail()).then(|| (0, (checked + m) as u64)),
+            window: Vec::new(),
+        };
+        for &letter in w.symbols() {
+            token.absorb(letter.index() == 1);
+            sends.push(token.encode());
+        }
+        sends
+    }
+
+    #[test]
+    fn every_send_matches_the_per_bit_reference_encoder() {
+        // Every growth function, both tails, n known and unknown; at n = 372
+        // the n²/2 window holds 186 letters, past the 184-bit inline capacity.
+        let mut rng = StdRng::seed_from_u64(31);
+        for g in growths() {
+            for lang in [LgLanguage::new(g), LgLanguage::fully_periodic(g)] {
+                let proto = LgRecognizer::new(&lang);
+                for n in [5usize, 64, 372] {
+                    let words =
+                        [lang.positive_example(n, &mut rng), lang.negative_example(n, &mut rng)];
+                    for w in words.into_iter().flatten() {
+                        for known_n in [false, true] {
+                            let mut runner = RingRunner::new();
+                            runner.record_trace(true).known_ring_size(known_n);
+                            let outcome = runner.run(&proto, &w).unwrap();
+                            let sends: Vec<BitString> = outcome
+                                .trace
+                                .as_ref()
+                                .unwrap()
+                                .events()
+                                .iter()
+                                .filter(|e| e.kind == ringleader_sim::EventKind::Send)
+                                .map(|e| e.payload.clone())
+                                .collect();
+                            assert_eq!(
+                                sends,
+                                reference_sends(&lang, &w, known_n),
+                                "{} n = {n} known_n = {known_n}",
+                                lang.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ struct Token {
     valid: bool,
     phase: Phase,
     /// The first copy of `w` (letters only, 1 bit each: a=0, b=1).
-    prefix: Vec<bool>,
+    prefix: BitString,
     /// How many second-copy letters matched so far.
     cursor: u64,
 }
@@ -75,9 +75,7 @@ impl Token {
         w.write_bit(self.valid);
         w.write_bit(matches!(self.phase, Phase::After));
         w.write_elias_delta(self.prefix.len() as u64 + 1);
-        for &b in &self.prefix {
-            w.write_bit(b);
-        }
+        w.write_bitstring(&self.prefix);
         w.write_elias_delta(self.cursor + 1);
         w.finish()
     }
@@ -87,10 +85,7 @@ impl Token {
         let valid = r.read_bit()?;
         let phase = if r.read_bit()? { Phase::After } else { Phase::Before };
         let len = r.read_elias_delta()? - 1;
-        let mut prefix = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            prefix.push(r.read_bit()?);
-        }
+        let prefix = r.read_bitstring(len as usize)?;
         let cursor = r.read_elias_delta()? - 1;
         Ok(Self { valid, phase, prefix, cursor })
     }
@@ -105,8 +100,7 @@ impl Token {
             (Phase::Before, false) => self.prefix.push(letter.index() == 1),
             (Phase::After, true) => self.valid = false, // second separator
             (Phase::After, false) => {
-                let idx = self.cursor as usize;
-                if idx < self.prefix.len() && self.prefix[idx] == (letter.index() == 1) {
+                if self.prefix.get(self.cursor as usize) == Some(letter.index() == 1) {
                     self.cursor += 1;
                 } else {
                     self.valid = false;
@@ -141,7 +135,7 @@ impl crate::graph::OnePassRule for WcWPrefixForward {
     }
 
     fn initial(&self, letter: Symbol) -> BitString {
-        Token { valid: true, phase: Phase::Before, prefix: Vec::new(), cursor: 0 }
+        Token { valid: true, phase: Phase::Before, prefix: BitString::new(), cursor: 0 }
             .absorb(letter, self.language.separator())
             .encode()
     }
@@ -183,8 +177,9 @@ struct LeaderProcess {
 
 impl Process for LeaderProcess {
     fn on_start(&mut self, ctx: &mut Context) -> ProcessResult {
-        let token = Token { valid: true, phase: Phase::Before, prefix: Vec::new(), cursor: 0 }
-            .absorb(self.input, self.sep);
+        let token =
+            Token { valid: true, phase: Phase::Before, prefix: BitString::new(), cursor: 0 }
+                .absorb(self.input, self.sep);
         ctx.send(Direction::Clockwise, token.encode());
         Ok(())
     }
@@ -292,6 +287,83 @@ mod tests {
         // Carries the 50-letter prefix plus O(log n) framing.
         assert!(outcome.stats.max_message_bits >= 50);
         assert!(outcome.stats.max_message_bits < 80);
+    }
+
+    /// The token kept as a `Vec<bool>` and written one bit at a time,
+    /// independent of `BitString`'s bulk copies: the reference the wire
+    /// format is pinned to.
+    struct ReferenceToken {
+        valid: bool,
+        after: bool,
+        prefix: Vec<bool>,
+        cursor: u64,
+    }
+
+    impl ReferenceToken {
+        fn encode(&self) -> BitString {
+            let mut w = BitWriter::new();
+            w.write_bit(self.valid);
+            w.write_bit(self.after);
+            w.write_elias_delta(self.prefix.len() as u64 + 1);
+            for &b in &self.prefix {
+                w.write_bit(b);
+            }
+            w.write_elias_delta(self.cursor + 1);
+            w.finish()
+        }
+
+        fn absorb(&mut self, letter: Symbol, sep: Symbol) {
+            if !self.valid {
+                return;
+            }
+            match (self.after, letter == sep) {
+                (false, true) => self.after = true,
+                (false, false) => self.prefix.push(letter.index() == 1),
+                (true, true) => self.valid = false,
+                (true, false) => {
+                    let idx = self.cursor as usize;
+                    if idx < self.prefix.len() && self.prefix[idx] == (letter.index() == 1) {
+                        self.cursor += 1;
+                    } else {
+                        self.valid = false;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_send_matches_the_per_bit_reference_encoder() {
+        // Prefixes on both sides of the 184-bit inline capacity (n = 369
+        // carries 184 letters, n = 371 carries 185), members and not.
+        let proto = WcWPrefixForward::new();
+        let lang = proto.language().clone();
+        let sep = lang.separator();
+        let mut rng = StdRng::seed_from_u64(17);
+        for n in [1usize, 3, 369, 371, 1025] {
+            let words = [lang.positive_example(n, &mut rng), lang.negative_example(n, &mut rng)];
+            for w in words.into_iter().flatten() {
+                let mut runner = RingRunner::new();
+                runner.record_trace(true);
+                let outcome = runner.run(&proto, &w).unwrap();
+                let sends: Vec<&BitString> = outcome
+                    .trace
+                    .as_ref()
+                    .unwrap()
+                    .events()
+                    .iter()
+                    .filter(|e| e.kind == ringleader_sim::EventKind::Send)
+                    .map(|e| &e.payload)
+                    .collect();
+                assert_eq!(sends.len(), n, "one token hop per processor at n = {n}");
+                let mut token =
+                    ReferenceToken { valid: true, after: false, prefix: Vec::new(), cursor: 0 };
+                for (i, (&letter, sent)) in w.symbols().iter().zip(&sends).enumerate() {
+                    token.absorb(letter, sep);
+                    assert_eq!(*sent, &token.encode(), "n = {n}, hop {i}");
+                }
+            }
+        }
     }
 
     #[test]

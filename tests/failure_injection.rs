@@ -123,3 +123,55 @@ fn zero_bit_flood_is_survivable() {
     let err = RingRunner::new().run(&Zeroing { inner }, &word).unwrap_err();
     assert!(matches!(err, ringleader::sim::SimError::Process { position: 1, .. }), "{err:?}");
 }
+
+#[test]
+fn forged_payload_lengths_abort_with_a_decode_error() {
+    // A wcw prefix or an L_g window whose length field claims 2⁶⁰ bits,
+    // injected behind the real token: the receiver must report that the
+    // message is too short, before sizing anything by the claimed length.
+    use ringleader::bitio::DecodeError;
+    use ringleader::sim::{Fault, FaultAction, FaultPlan, ProcessError, SimError};
+
+    let claimed = (1u64 << 60) + 1;
+    let mut wcw_prefix = BitWriter::new();
+    // valid, phase = before the separator, prefix length.
+    wcw_prefix.write_bit(true).write_bit(false).write_elias_delta(claimed);
+    let mut lg_window = BitWriter::new();
+    // window tag, valid, no position fields, m = 1, window length.
+    lg_window
+        .write_bit(true)
+        .write_bit(true)
+        .write_bit(false)
+        .write_elias_delta(1)
+        .write_elias_delta(claimed);
+
+    let wcw = WcWPrefixForward::new();
+    let wcw_word = Word::from_str("abcab", wcw.language().alphabet()).unwrap();
+    let lg = LgRecognizer::new(&LgLanguage::new(GrowthFunction::NSqrtN));
+    let lg_word = Word::from_str("abababab", &Alphabet::from_chars("ab").unwrap()).unwrap();
+    let cases: [(&dyn Protocol, Word, BitString); 2] =
+        [(&wcw, wcw_word, wcw_prefix.finish()), (&lg, lg_word, lg_window.finish())];
+    for (protocol, word, payload) in cases {
+        let mut plan = FaultPlan::new();
+        plan.push(Fault {
+            position: 3,
+            delivery: 1,
+            recurring: false,
+            action: FaultAction::InjectSend { direction: Direction::Clockwise, payload },
+        });
+        let mut runner = RingRunner::new();
+        runner.fault_plan(plan);
+        let err = runner.run(protocol, &word).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SimError::Process {
+                    position: 4,
+                    source: ProcessError::Decode(DecodeError::UnexpectedEnd { .. })
+                }
+            ),
+            "{}: {err:?}",
+            protocol.name()
+        );
+    }
+}
