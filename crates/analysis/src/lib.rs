@@ -50,6 +50,6 @@ pub use registry::{
 pub use report::{ExperimentResult, Verdict};
 pub use sweep::{
     bits_across_schedules, executor_for, run_independent, sweep_protocol, sweep_protocol_with,
-    verify_protocol, GridPoint, Parallel, PointJob, RunStats, Serial, SweepConfig, SweepExecutor,
-    SweepGrid, SweepPoint, VerificationReport,
+    GridPoint, Parallel, PointJob, RunStats, Serial, SweepConfig, SweepExecutor, SweepGrid,
+    SweepPoint,
 };

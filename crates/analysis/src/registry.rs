@@ -266,7 +266,7 @@ impl RunCtx<'_> {
     }
 
     /// A [`SweepConfig`] over the grid's sizes and sample count, with the
-    /// shared defaults (seed, FIFO schedule, unknown ring size).
+    /// shared defaults (seed, unknown ring size). Grid sweeps run FIFO.
     #[must_use]
     pub fn sweep_config(&self) -> SweepConfig {
         let grid = self.grid();

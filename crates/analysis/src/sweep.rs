@@ -3,8 +3,8 @@
 //! A sweep is a **grid** of independent measurement points — one per
 //! (ring size, sample index, positive/negative) coordinate — executed by
 //! a pluggable [`SweepExecutor`]: [`Serial`] runs points in grid order on
-//! the calling thread; [`Parallel`] fans them out to a work-stealing
-//! pool. Both produce *byte-identical* results because
+//! the calling thread; [`Parallel`] fans them out to a thread pool.
+//! Both produce *byte-identical* results because
 //!
 //! * every [`GridPoint`] carries its own RNG seed, derived from the
 //!   sweep's base seed and the point's coordinates (never from execution
@@ -49,8 +49,6 @@ pub struct SweepConfig {
     pub seed: u64,
     /// Run in the paper's Note 7.4 known-`n` mode.
     pub known_ring_size: bool,
-    /// Delivery schedule.
-    pub scheduler: Scheduler,
     /// Metrics registry cloned into every grid point's runner. The
     /// default disabled handle records nothing; an enabled one
     /// accumulates engine telemetry across the whole sweep without
@@ -65,7 +63,6 @@ impl Default for SweepConfig {
             samples_per_size: 3,
             seed: 0xB17C0DE,
             known_ring_size: false,
-            scheduler: Scheduler::Fifo,
             metrics: Metrics::disabled(),
         }
     }
@@ -231,9 +228,9 @@ impl SweepExecutor for Serial {
     }
 }
 
-/// Fans grid points out to a work-stealing pool of the given number of
-/// worker threads (`Parallel(0)` uses the machine's parallelism). Every
-/// point runs even if one errors; the fold surfaces the earliest error.
+/// Fans grid points out to a pool of the given number of worker threads
+/// (`Parallel(0)` uses the machine's parallelism). Every point runs even
+/// if one errors; the fold surfaces the earliest error.
 #[derive(Debug, Clone, Copy)]
 pub struct Parallel(pub usize);
 
@@ -329,7 +326,6 @@ pub fn sweep_protocol_with(
         };
         let mut runner = RingRunner::new();
         runner.known_ring_size(config.known_ring_size);
-        runner.scheduler(config.scheduler.clone());
         runner.metrics(config.metrics.clone());
         let outcome = runner.run(protocol, &word)?;
         assert_eq!(
@@ -455,60 +451,6 @@ pub fn bits_across_schedules(
         bits.push(outcome.stats.total_bits);
     }
     Ok(bits)
-}
-
-/// Result of a correctness verification run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VerificationReport {
-    /// Total decisions checked.
-    pub checked: usize,
-    /// Decisions that disagreed with ground truth.
-    pub mismatches: usize,
-}
-
-impl VerificationReport {
-    /// Whether every decision was correct.
-    #[must_use]
-    pub fn all_correct(&self) -> bool {
-        self.mismatches == 0 && self.checked > 0
-    }
-}
-
-/// Checks `protocol` against `language` on sampled words of each length,
-/// without asserting — returns the mismatch count for reporting.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn verify_protocol(
-    protocol: &dyn Protocol,
-    language: &dyn Language,
-    lengths: &[usize],
-    samples_per_length: usize,
-    seed: u64,
-) -> Result<VerificationReport, SimError> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let runner = RingRunner::new();
-    let mut checked = 0usize;
-    let mut mismatches = 0usize;
-    for &n in lengths {
-        for _ in 0..samples_per_length {
-            for want in [true, false] {
-                let word = if want {
-                    language.positive_example(n, &mut rng)
-                } else {
-                    language.negative_example(n, &mut rng)
-                };
-                let Some(word) = word else { continue };
-                let outcome = runner.run(protocol, &word)?;
-                checked += 1;
-                if outcome.accepted() != want {
-                    mismatches += 1;
-                }
-            }
-        }
-    }
-    Ok(VerificationReport { checked, mismatches })
 }
 
 #[cfg(test)]
@@ -650,26 +592,6 @@ mod tests {
         let bits = bits_across_schedules(&proto, &word, 4).unwrap();
         assert_eq!(bits.len(), 6);
         assert!(bits.windows(2).all(|w| w[0] == w[1]), "{bits:?}");
-    }
-
-    #[test]
-    fn verify_passes_for_correct_protocols() {
-        let lang = AnBnCn::new();
-        let proto = ThreeCounters::new();
-        let report = verify_protocol(&proto, &lang, &[3, 6, 9, 12], 4, 7).unwrap();
-        assert!(report.all_correct(), "{report:?}");
-        assert!(report.checked > 10);
-    }
-
-    #[test]
-    fn verify_detects_wrong_protocols() {
-        // CollectAll wired to the WRONG language must show mismatches.
-        // WcW's alphabet also has three letters, so the wire format is
-        // compatible and only the decisions diverge.
-        let truth = AnBnCn::new();
-        let wrong = CollectAll::new(Arc::new(ringleader_langs::WcW::new()));
-        let report = verify_protocol(&wrong, &truth, &[3, 6, 9], 4, 7).unwrap();
-        assert!(report.mismatches > 0, "{report:?}");
     }
 
     #[test]

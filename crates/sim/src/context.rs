@@ -118,10 +118,6 @@ impl Context {
         self.is_leader
     }
 
-    pub(crate) fn take(self) -> (Vec<(Direction, BitString)>, Option<bool>) {
-        (self.outbox, self.decision)
-    }
-
     /// Clears the buffered effects for the next event handler, keeping the
     /// outbox's allocation. The engine reuses one context per run (the
     /// ring size mode never changes mid-run, so only the leader flag is
@@ -217,7 +213,7 @@ mod tests {
         ctx.send(Direction::Clockwise, BitString::parse("101").unwrap());
         ctx.send(Direction::CounterClockwise, BitString::parse("0").unwrap());
         ctx.decide(true);
-        let (outbox, decision) = ctx.take();
+        let (outbox, decision) = ctx.into_effects();
         assert_eq!(outbox.len(), 2);
         assert_eq!(outbox[0].0, Direction::Clockwise);
         assert_eq!(outbox[0].1.len(), 3);

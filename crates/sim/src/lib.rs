@@ -32,9 +32,10 @@
 //!   has no parallelism to extract; independent runs go wide instead,
 //!   across grid points and specs ([`pool::ordered_map`]).
 //! * **Threaded runner** ([`ThreadedRunner`]): one OS thread per
-//!   processor with real blocking channels — the most literal reading of
-//!   the asynchronous model, used to cross-check that the event loop
-//!   didn't bake in a scheduling assumption.
+//!   processor, each a blocking `recv` loop over one inbox that both
+//!   neighbours send into — the most literal reading of the
+//!   asynchronous model, used to cross-check that the event loop didn't
+//!   bake in a scheduling assumption.
 //!
 //! # Faults
 //!

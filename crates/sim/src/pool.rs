@@ -1,4 +1,4 @@
-//! Work-stealing thread pool for fanning sweep grids out to OS threads.
+//! Thread pool for fanning sweep grids out to OS threads.
 //!
 //! The experiment layer measures (protocol, ring size, seed) grid points
 //! that are completely independent of each other; this module runs them
@@ -19,13 +19,12 @@
 //!    pure function of (base seed, coordinates), independent of worker
 //!    count, scheduling, and completion order.
 //!
-//! Scheduling is work-stealing over plain `std::thread` + crossbeam
-//! channels (no external pool dependency): jobs are dealt round-robin
-//! into one MPMC queue per worker; a worker drains its own queue first
-//! and then steals from its siblings', so a worker stuck on an expensive
-//! point never strands cheap points behind it. Because the whole grid is
-//! enqueued before the workers start, queues only ever report `Ok` or
-//! `Disconnected` — workers never block mid-map.
+//! Scheduling is one shared cursor over the whole grid, on plain scoped
+//! `std::thread`s: the jobs sit in a mutex-guarded iterator, and a
+//! worker holds the lock only to take its next job. Every job is known
+//! before the workers start, so a free worker always takes the next
+//! unstarted one and a worker stuck on an expensive point never strands
+//! cheap points behind it.
 //!
 //! A job that panics does not poison the map: the panic is caught, the
 //! remaining jobs still run, and the first panic (in input order) is
@@ -36,7 +35,7 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::thread;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use parking_lot::Mutex;
 
 /// Default worker count: the machine's available parallelism.
 #[must_use]
@@ -67,72 +66,29 @@ where
         return items.into_iter().enumerate().map(|(i, item)| f(i, item)).collect();
     }
     let n = items.len();
-    let workers = workers.min(n);
-
-    type Queue<I> = (Sender<(usize, I)>, Receiver<(usize, I)>);
-    // One queue per worker; the whole grid is dealt before anyone runs.
-    let mut queues: Vec<Queue<I>> = Vec::new();
-    for _ in 0..workers {
-        queues.push(unbounded());
-    }
-    for (i, item) in items.into_iter().enumerate() {
-        assert!(queues[i % workers].0.send((i, item)).is_ok(), "receiver held below");
-    }
-    let receivers: Vec<Receiver<(usize, I)>> = queues.iter().map(|(_, rx)| rx.clone()).collect();
-    // Drop the senders: from here on every queue is a frozen deque and
-    // `try_recv` can only yield `Ok` or `Disconnected`.
-    drop(queues);
-
-    let (results_tx, results_rx) = unbounded::<(usize, Result<T, Panic>)>();
-    thread::scope(|scope| {
-        for w in 0..workers {
-            let receivers = &receivers;
-            let f = &f;
-            let results_tx = results_tx.clone();
-            scope.spawn(move || {
-                // Own queue first, then steal from siblings in ring order.
-                loop {
-                    let mut job = None;
-                    for k in 0..receivers.len() {
-                        if let Ok(next) = receivers[(w + k) % receivers.len()].try_recv() {
-                            job = Some(next);
-                            break;
-                        }
+    let jobs = Mutex::new(items.into_iter().enumerate());
+    let mut done: Vec<(usize, thread::Result<T>)> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.min(n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // Bound first: a `while let` on the lock would hold
+                        // the guard through the job and serialize the pool.
+                        let next = jobs.lock().next();
+                        let Some((i, item)) = next else { break done };
+                        done.push((i, catch_unwind(AssertUnwindSafe(|| f(i, item)))));
                     }
-                    let Some((i, item)) = job else { break };
-                    let out = catch_unwind(AssertUnwindSafe(|| f(i, item)));
-                    let _ = results_tx.send((i, out));
-                }
-            });
-        }
-        drop(results_tx);
-
-        let mut slots: Vec<Option<Result<T, Panic>>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (i, out) = results_rx.recv().expect("every job reports exactly once");
-            slots[i] = Some(out);
-        }
-        // Workers have sent everything; the scope joins them on exit.
-        let mut out = Vec::with_capacity(n);
-        let mut first_panic: Option<Panic> = None;
-        for slot in slots {
-            match slot.expect("all slots filled") {
-                Ok(v) => out.push(v),
-                Err(p) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(p);
-                    }
-                }
-            }
-        }
-        if let Some(p) = first_panic {
-            resume_unwind(p);
-        }
-        out
-    })
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("jobs catch their own panics")).collect()
+    });
+    // In input order, the first panic met is the earliest index's.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result.unwrap_or_else(|p| resume_unwind(p))).collect()
 }
 
-type Panic = Box<dyn std::any::Any + Send + 'static>;
 #[cfg(test)]
 mod tests {
     use super::*;

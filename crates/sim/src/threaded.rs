@@ -1,29 +1,38 @@
 //! Real-concurrency backend on OS threads and crossbeam channels.
 //!
 //! The discrete-event engine *models* asynchrony; this backend *is*
-//! asynchronous: one OS thread per processor, unbounded crossbeam channels
-//! as links, and whatever interleaving the OS scheduler produces. For the
-//! deterministic protocols of the paper the bit totals must agree exactly
-//! with the event engine — experiment E12 checks that, closing the gap
-//! between "simulated" and "actually concurrent" executions.
+//! asynchronous: one OS thread per processor and whatever interleaving
+//! the OS scheduler produces. For the deterministic protocols of the
+//! paper the bit totals must agree exactly with the event engine —
+//! experiment E12 checks that, closing the gap between "simulated" and
+//! "actually concurrent" executions.
 //!
 //! Where the serial event loop fixes the schedule, this backend
 //! surrenders it to the OS on purpose, as evidence the measured bit
 //! counts never depended on it. It applies no fault plan.
 //!
-//! The backend piggybacks a control signal on the data channels: when the
-//! leader decides, a `Halt` envelope is flooded clockwise so every thread
-//! shuts down. Control envelopes carry no protocol bits and are excluded
-//! from the accounting.
+//! Every processor owns one unbounded inbox that both neighbours send
+//! into, and a worker is a plain blocking `recv` loop over it. Only one
+//! thread sends on each link, so each link stays FIFO, while arrivals on
+//! the two links interleave however the threads run: the paper's model
+//! (§2), and nothing more.
 //!
-//! Threads park on a real blocking `select!` over their two data links
-//! and a shutdown channel — no polling. Shutdown is broadcast by
-//! *disconnecting* the shutdown channel (dropping its only sender, held
-//! in a shared slot): every parked worker observes the disconnect at
-//! once, which a single in-band message could not do. The watchdog
-//! deadline lives in exactly one place — the coordinating thread's
-//! `recv_timeout` on the decision channel — so a stuck protocol aborts
-//! within one configured timeout, not timeout-plus-slack.
+//! Two control envelopes share the inbox. They carry no protocol bits
+//! and are excluded from the accounting:
+//!
+//! * `Halt`: when the leader decides, it floods `Halt` clockwise; each
+//!   processor forwards it and stops. It travels behind the data already
+//!   on each clockwise link, so every worker handles what its
+//!   predecessor sent before the flood.
+//! * `Stop`: when the watchdog fires or a worker fails, `Stop` is queued
+//!   in every inbox behind the data already there; each worker handles
+//!   what is ahead of it and stops. Traffic sent later queues behind the
+//!   `Stop` and is never delivered, so a ring with tokens still
+//!   circulating shuts down in bounded work.
+//!
+//! The watchdog deadline lives in exactly one place — the coordinating
+//! thread's `recv_timeout` on the decision channel — so a stuck protocol
+//! aborts within one configured timeout, not timeout-plus-slack.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -51,10 +60,23 @@ pub struct ThreadedOutcome {
     pub message_count: usize,
 }
 
-/// What travels over a channel: protocol payloads or the shutdown flood.
+/// What arrives in a processor's inbox.
 enum Envelope {
+    /// A protocol message and the direction it travels.
     Data(Direction, BitString),
+    /// The leader decided: forward clockwise, then stop.
     Halt,
+    /// The watchdog fired or a worker failed: stop.
+    Stop,
+}
+
+/// Queues `Stop` in every inbox, behind the data already there.
+fn stop_all(inboxes: &[Sender<Envelope>]) {
+    for inbox in inboxes {
+        // A worker that has already stopped dropped its receiver; its
+        // `Stop` has nobody to reach.
+        let _ = inbox.send(Envelope::Stop);
+    }
 }
 
 /// Runs protocols with one OS thread per processor.
@@ -126,36 +148,16 @@ impl ThreadedRunner {
         }
         let topology = protocol.topology();
 
-        // Channels: cw[i] feeds processor (i+1) % n from processor i;
-        // ccw[i] feeds processor i from processor (i+1) % n.
-        let mut cw_tx = Vec::with_capacity(n);
-        let mut cw_rx = Vec::with_capacity(n);
-        let mut ccw_tx = Vec::with_capacity(n);
-        let mut ccw_rx = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded::<Envelope>();
-            cw_tx.push(tx);
-            cw_rx.push(rx);
-            let (tx, rx) = unbounded::<Envelope>();
-            ccw_tx.push(tx);
-            ccw_rx.push(rx);
-        }
-
+        let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+        let inboxes: Arc<[Sender<Envelope>]> = inboxes.into();
         let total_bits = Arc::new(AtomicUsize::new(0));
         let message_count = Arc::new(AtomicUsize::new(0));
         let failure: Arc<Mutex<Option<SimError>>> = Arc::new(Mutex::new(None));
         let (decision_tx, decision_rx) = unbounded::<bool>();
 
-        // Shutdown broadcast: the channel's single sender lives in this
-        // shared slot; clearing the slot disconnects the channel, waking
-        // every worker parked on it. Workers hold the slot (not a sender
-        // clone) so a failing worker can broadcast too.
-        let (shutdown_tx, shutdown_rx) = unbounded::<()>();
-        let shutdown: Arc<Mutex<Option<Sender<()>>>> = Arc::new(Mutex::new(Some(shutdown_tx)));
-
         let known = self.known_ring_size.then_some(n);
         let mut handles = Vec::with_capacity(n);
-        for i in 0..n {
+        for (i, inbox) in receivers.into_iter().enumerate() {
             let process = if i == 0 {
                 protocol.leader(word.get(0).expect("non-empty word"))
             } else {
@@ -167,38 +169,26 @@ impl ThreadedRunner {
                 topology,
                 known,
                 process,
-                // Processor i receives clockwise traffic on cw[(i-1+n)%n]
-                // and counter-clockwise traffic on ccw[i].
-                from_ccw_neighbor: cw_rx[(i + n - 1) % n].clone(),
-                from_cw_neighbor: ccw_rx[i].clone(),
-                to_cw_neighbor: cw_tx[i].clone(),
-                to_ccw_neighbor: ccw_tx[(i + n - 1) % n].clone(),
+                inbox,
+                inboxes: Arc::clone(&inboxes),
                 total_bits: Arc::clone(&total_bits),
                 message_count: Arc::clone(&message_count),
                 failure: Arc::clone(&failure),
                 decision_tx: decision_tx.clone(),
-                shutdown_rx: shutdown_rx.clone(),
-                shutdown: Arc::clone(&shutdown),
             };
             handles.push(thread::spawn(move || worker.run()));
         }
         drop(decision_tx);
 
-        // The watchdog's single source of truth: if no decision (and no
-        // abort — workers that fail drop their decision senders, which
-        // disconnects this channel promptly) arrives within the timeout,
-        // the run is declared stuck.
+        // The watchdog's single source of truth: if no decision arrives
+        // within the timeout, the run is declared stuck. (Workers that
+        // fail stop the ring, and once every worker has stopped the
+        // dropped decision senders disconnect this channel at once.)
         let decision = decision_rx.recv_timeout(self.timeout);
         if decision.is_err() {
-            // Stall or abort: broadcast shutdown so parked workers exit.
-            // On a clean decision the coordinator must NOT broadcast —
-            // the halt flood retires every worker in FIFO order behind
-            // the data still on its link, whereas the out-of-band
-            // disconnect could win the select against deliverable
-            // envelopes and make the bit totals timing-dependent. (A
-            // worker that fails mid-flood broadcasts for itself, so the
-            // flood cannot strand anyone on this path.)
-            shutdown.lock().take();
+            // A decision needs no `Stop`: the halt flood retires the ring,
+            // and a worker that fails mid-flood queues `Stop` itself.
+            stop_all(&inboxes);
         }
         for h in handles {
             let _ = h.join();
@@ -228,16 +218,14 @@ struct Worker {
     topology: Topology,
     known: Option<usize>,
     process: Box<dyn Process>,
-    from_ccw_neighbor: Receiver<Envelope>,
-    from_cw_neighbor: Receiver<Envelope>,
-    to_cw_neighbor: Sender<Envelope>,
-    to_ccw_neighbor: Sender<Envelope>,
+    inbox: Receiver<Envelope>,
+    /// Every processor's inbox, by position: the links to both
+    /// neighbours, and the targets of a `Stop` this worker queues.
+    inboxes: Arc<[Sender<Envelope>]>,
     total_bits: Arc<AtomicUsize>,
     message_count: Arc<AtomicUsize>,
     failure: Arc<Mutex<Option<SimError>>>,
     decision_tx: Sender<bool>,
-    shutdown_rx: Receiver<()>,
-    shutdown: Arc<Mutex<Option<Sender<()>>>>,
 }
 
 impl Worker {
@@ -252,64 +240,45 @@ impl Worker {
                 return;
             }
         }
-        loop {
-            // Queued protocol traffic takes strict priority over the
-            // shutdown broadcast: the select's tie-break rotates among
-            // ready channels (starvation-freedom), so without this
-            // ordered drain a worker could exit with deliverable
-            // envelopes still queued — and the bits their forwarding
-            // would have sent become a coin flip. Only a worker whose
-            // links are momentarily empty parks on the 3-way select.
-            let polled = match self.from_ccw_neighbor.try_recv() {
-                Ok(e) => Some((Direction::Clockwise, e)),
-                Err(_) => match self.from_cw_neighbor.try_recv() {
-                    Ok(e) => Some((Direction::CounterClockwise, e)),
-                    Err(_) => None,
-                },
-            };
-            let envelope = if let Some(hit) = polled {
-                Ok(hit)
-            } else {
-                // Park until a neighbour sends or shutdown is broadcast —
-                // a real blocking wait, no poll interval, no clock.
-                crossbeam::channel::select! {
-                    recv(self.from_ccw_neighbor) -> e => e.map(|e| (Direction::Clockwise, e)),
-                    recv(self.from_cw_neighbor) -> e => e.map(|e| (Direction::CounterClockwise, e)),
-                    recv(self.shutdown_rx) -> _signal => {
-                        // Message or disconnect: either way, stop.
-                        return;
-                    }
-                }
-            };
-            let Ok((direction, envelope)) = envelope else {
-                return; // channel closed: peers are shutting down
-            };
-            match envelope {
+        // `inboxes` keeps a sender to this inbox alive, so `recv` only
+        // returns messages; `Halt` or `Stop` ends the loop.
+        while let Ok(envelope) = self.inbox.recv() {
+            let (direction, payload) = match envelope {
+                Envelope::Data(direction, payload) => (direction, payload),
                 Envelope::Halt => {
                     // Flood onward clockwise until it returns to the leader.
                     if self.position != self.n - 1 {
-                        let _ = self.to_cw_neighbor.send(Envelope::Halt);
+                        self.send(Direction::Clockwise, Envelope::Halt);
                     }
                     return;
                 }
-                Envelope::Data(dir, payload) => {
-                    debug_assert_eq!(dir, direction);
-                    let mut ctx = Context::new(self.position == 0, self.known);
-                    if let Err(source) = self.process.on_message(direction, &payload, &mut ctx) {
-                        self.fail(SimError::Process { position: self.position, source });
-                        return;
-                    }
-                    if self.apply(ctx) {
-                        return;
-                    }
-                }
+                Envelope::Stop => return,
+            };
+            let mut ctx = Context::new(self.position == 0, self.known);
+            if let Err(source) = self.process.on_message(direction, &payload, &mut ctx) {
+                self.fail(SimError::Process { position: self.position, source });
+                return;
+            }
+            if self.apply(ctx) {
+                return;
             }
         }
     }
 
+    /// Queues `envelope` in the inbox of the neighbour in `direction`.
+    fn send(&self, direction: Direction, envelope: Envelope) {
+        let to = match direction {
+            Direction::Clockwise => (self.position + 1) % self.n,
+            Direction::CounterClockwise => (self.position + self.n - 1) % self.n,
+        };
+        // A neighbour that has stopped dropped its receiver; what is sent
+        // to it is counted but never delivered.
+        let _ = self.inboxes[to].send(envelope);
+    }
+
     /// Applies buffered effects; returns `true` if this worker is done.
     fn apply(&mut self, ctx: Context) -> bool {
-        let (outbox, decision) = ctx.take();
+        let (outbox, decision) = ctx.into_effects();
         if decision.is_some() && self.position != 0 {
             self.fail(SimError::FollowerDecided { position: self.position });
             return true;
@@ -321,40 +290,33 @@ impl Worker {
             }
             self.total_bits.fetch_add(payload.len(), Ordering::SeqCst);
             self.message_count.fetch_add(1, Ordering::SeqCst);
-            let target = match direction {
-                Direction::Clockwise => &self.to_cw_neighbor,
-                Direction::CounterClockwise => &self.to_ccw_neighbor,
-            };
-            let _ = target.send(Envelope::Data(direction, payload));
+            self.send(direction, Envelope::Data(direction, payload));
         }
         if let Some(d) = decision {
             let _ = self.decision_tx.send(d);
             // Start the halt flood (skip for n = 1, nobody else to stop).
             if self.n > 1 {
-                let _ = self.to_cw_neighbor.send(Envelope::Halt);
+                self.send(Direction::Clockwise, Envelope::Halt);
             }
             return true;
         }
         false
     }
 
+    /// Records `err` unless an earlier failure is recorded, then stops
+    /// the ring.
     fn fail(&self, err: SimError) {
-        let mut slot = self.failure.lock();
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-        drop(slot);
-        // Wake every sibling parked on the shutdown channel: clearing the
-        // slot drops the only sender, disconnecting the channel.
-        self.shutdown.lock().take();
+        self.failure.lock().get_or_insert(err);
+        stop_all(&self.inboxes);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::ProcessResult;
+    use crate::context::{ProcessError, ProcessResult};
     use ringleader_automata::{Alphabet, Symbol};
+    use std::time::Instant;
 
     struct Forwarder;
     impl Process for Forwarder {
@@ -494,7 +456,7 @@ mod tests {
         let timeout = Duration::from_millis(300);
         let mut runner = ThreadedRunner::new();
         runner.timeout(timeout);
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let err = runner.run(&Mute, &word(4)).unwrap_err();
         let elapsed = start.elapsed();
         assert!(matches!(err, SimError::Stalled { .. }), "{err:?}");
@@ -502,6 +464,110 @@ mod tests {
         // Well under the old 2×timeout + 1s behaviour; generous slack
         // for thread teardown on a loaded single-core runner.
         assert!(elapsed < timeout * 3, "watchdog budget double-counted: {elapsed:?}");
+    }
+
+    /// The leader starts `tokens` one-bit tokens and never decides; every
+    /// processor, the leader too, forwards each token clockwise, so the
+    /// ring has traffic in flight whenever it is stopped. With `fail_on`
+    /// set, a follower labelled `1` fails on that delivery. Each process
+    /// counts itself into `dropped` when its thread ends.
+    struct Storm {
+        tokens: usize,
+        fail_on: Option<usize>,
+        dropped: Arc<AtomicUsize>,
+    }
+
+    struct StormProcess {
+        tokens: usize,
+        fail_on: Option<usize>,
+        deliveries: usize,
+        dropped: Arc<AtomicUsize>,
+    }
+
+    impl Drop for StormProcess {
+        fn drop(&mut self) {
+            self.dropped.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    impl Process for StormProcess {
+        fn on_start(&mut self, ctx: &mut Context) -> ProcessResult {
+            for _ in 0..self.tokens {
+                ctx.send(Direction::Clockwise, BitString::parse("1").unwrap());
+            }
+            Ok(())
+        }
+        fn on_message(&mut self, d: Direction, m: &BitString, ctx: &mut Context) -> ProcessResult {
+            self.deliveries += 1;
+            if self.fail_on == Some(self.deliveries) {
+                return Err(ProcessError::InvalidState("injected failure".into()));
+            }
+            ctx.send(d, m.clone());
+            Ok(())
+        }
+    }
+
+    impl Storm {
+        fn new(tokens: usize, fail_on: Option<usize>) -> Self {
+            Storm { tokens, fail_on, dropped: Arc::new(AtomicUsize::new(0)) }
+        }
+        fn process(&self, tokens: usize, fail_on: Option<usize>) -> Box<dyn Process> {
+            let dropped = Arc::clone(&self.dropped);
+            Box::new(StormProcess { tokens, fail_on, deliveries: 0, dropped })
+        }
+    }
+
+    impl Protocol for Storm {
+        fn name(&self) -> &'static str {
+            "storm"
+        }
+        fn topology(&self) -> Topology {
+            Topology::Unidirectional
+        }
+        fn leader(&self, _input: Symbol) -> Box<dyn Process> {
+            self.process(self.tokens, None)
+        }
+        fn follower(&self, input: Symbol) -> Box<dyn Process> {
+            self.process(0, self.fail_on.filter(|_| input == Symbol(1)))
+        }
+    }
+
+    #[test]
+    fn watchdog_stops_a_ring_with_tokens_in_flight() {
+        let timeout = Duration::from_millis(200);
+        for (n, tokens) in [(2, 1), (2, 64), (3, 256), (4, 1024)] {
+            let storm = Storm::new(tokens, None);
+            let mut runner = ThreadedRunner::new();
+            runner.timeout(timeout);
+            let start = Instant::now();
+            let err = runner.run(&storm, &word(n)).unwrap_err();
+            let elapsed = start.elapsed();
+            assert!(matches!(err, SimError::Stalled { .. }), "n={n} k={tokens}: {err:?}");
+            assert!(elapsed < timeout * 3, "n={n} k={tokens}: stopped after {elapsed:?}");
+            assert_eq!(storm.dropped.load(Ordering::SeqCst), n, "n={n} k={tokens}");
+        }
+    }
+
+    #[test]
+    fn failing_worker_stops_a_ring_with_tokens_in_flight() {
+        // The follower at position 2 fails on its 5th delivery while 16
+        // tokens circulate; the watchdog is far away, so only the
+        // failure's `Stop` can end the run in time.
+        let storm = Storm::new(16, Some(5));
+        let timeout = Duration::from_secs(10);
+        let mut runner = ThreadedRunner::new();
+        runner.timeout(timeout);
+        let ring = Word::from_str("0010", &Alphabet::binary()).unwrap();
+        let start = Instant::now();
+        let err = runner.run(&storm, &ring).unwrap_err();
+        let elapsed = start.elapsed();
+        assert!(
+            matches!(err, SimError::Process { position: 2, source: ProcessError::InvalidState(_) }),
+            "{err:?}"
+        );
+        assert!(elapsed < timeout / 2, "the failure did not stop the ring: {elapsed:?}");
+        // `run` joined every worker: all four processes are gone.
+        assert_eq!(storm.dropped.load(Ordering::SeqCst), 4);
     }
 
     #[test]
